@@ -1,21 +1,16 @@
-//! Wall-clock numbers for the parallel simulator backends →
+//! Wall-clock numbers for the simulator's seed-sweep lanes →
 //! `BENCH_sim.json`.
 //!
 //! The simulator's *results* are virtual-time and host-independent; this
-//! bench measures the only thing parallelism is allowed to change — how
+//! bench measures the only thing sweep lanes are allowed to change — how
 //! long the host takes to produce them:
 //!
 //! 1. **Sweep dispatch**: a 16-seed `schedule_sweep_with` of the Section 4
-//!    workload on the M&S queue, timed at 1 lane and at 4 lanes. Per-seed
-//!    runs are independent, so on a host with >= 4 cores the 4-lane sweep
-//!    should finish at least twice as fast. The acceptance flag is gated
-//!    on `host_cores`: a 1- or 2-core machine cannot show the speedup and
-//!    is not asked to (the recorded numbers are always the measured ones).
-//! 2. **Frame-stepped backend identity at scale**: the same run at 64 and
-//!    128 simulated processors, serial token backend vs the frame-stepped
-//!    backend with 4 workers. The reports must be byte-identical; both
-//!    host wall-clocks are recorded.
-//! 3. **High-scale sweep completion**: a 32-seed sweep at 64 simulated
+//!    workload on the M&S queue, timed at 1 lane and at the lane count
+//!    `schedule_sweep` picks by default (`default_lanes`). Per-seed runs
+//!    are independent, so the default lanes must be no slower than one
+//!    lane, within the host-time bound of 1.25× the serial time.
+//! 2. **High-scale sweep completion**: a 32-seed sweep at 64 simulated
 //!    processors runs to completion — the raised processor ceiling
 //!    exercised end to end, with the per-sweep wall-clock printed.
 //!
@@ -24,11 +19,10 @@
 //! `--smoke` for a scaled-down CI sanity run (same cells, same shape).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use msq_harness::{run_simulated, Algorithm, WorkloadConfig};
-use msq_sim::{schedule_sweep_with, SimConfig, SimReport, Simulation};
+use msq_sim::{default_lanes, schedule_sweep_with, SimConfig};
 
 /// Seeds in the timed dispatch sweep.
 const SWEEP_SEEDS: u64 = 16;
@@ -42,33 +36,14 @@ const SMOKE_HIGH_SCALE_SEEDS: u64 = 8;
 const SWEEP_PAIRS: u64 = 2_000;
 const SMOKE_SWEEP_PAIRS: u64 = 400;
 
-/// Frame-backend worker count for the identity cells (matches the CI
-/// `MSQ_SIM_WORKERS=4` pass).
-const FRAME_WORKERS: usize = 4;
+/// Pairs per simulated processor in the high-scale sweep.
+const HIGH_SCALE_PAIRS_PER_PROC: u64 = 25;
+const SMOKE_HIGH_SCALE_PAIRS_PER_PROC: u64 = 8;
 
-/// One full run at `processors` with the given backend, returning the
-/// report (for identity checks) and the host wall-clock.
-fn scale_run(processors: usize, sim_workers: usize, pairs_per_proc: u64) -> (SimReport, f64) {
-    let start = Instant::now();
-    let sim = Simulation::new(SimConfig {
-        processors,
-        sim_workers: Some(sim_workers),
-        ..SimConfig::default()
-    });
-    let platform = sim.platform();
-    let queue = Algorithm::NewNonBlocking.build(&platform, 8_192);
-    let report = sim.run({
-        let queue = Arc::clone(&queue);
-        move |info| {
-            for i in 0..pairs_per_proc {
-                let value = ((info.pid as u64) << 32) | i;
-                while queue.enqueue(value).is_err() {}
-                while queue.dequeue().is_none() {}
-            }
-        }
-    });
-    (report, start.elapsed().as_secs_f64())
-}
+/// How much slower than one lane the default lane count may run before
+/// the dispatch counts as a regression: the host-time bound the
+/// repository's benchmark applies to its own wall-clock metrics.
+const LANES_SLOWDOWN_BOUND: f64 = 1.25;
 
 /// Times one `schedule_sweep_with` dispatch of the Section 4 workload at
 /// the given lane count, printing the per-sweep wall-clock.
@@ -92,51 +67,40 @@ fn timed_sweep(lanes: usize, seeds: u64, workload: &WorkloadConfig) -> f64 {
 
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    let (sweep_seeds, high_seeds, sweep_pairs) = if smoke {
-        (SMOKE_SWEEP_SEEDS, SMOKE_HIGH_SCALE_SEEDS, SMOKE_SWEEP_PAIRS)
+    let (sweep_seeds, high_seeds, sweep_pairs, high_pairs_per_proc) = if smoke {
+        (
+            SMOKE_SWEEP_SEEDS,
+            SMOKE_HIGH_SCALE_SEEDS,
+            SMOKE_SWEEP_PAIRS,
+            SMOKE_HIGH_SCALE_PAIRS_PER_PROC,
+        )
     } else {
-        (SWEEP_SEEDS, HIGH_SCALE_SEEDS, SWEEP_PAIRS)
+        (
+            SWEEP_SEEDS,
+            HIGH_SCALE_SEEDS,
+            SWEEP_PAIRS,
+            HIGH_SCALE_PAIRS_PER_PROC,
+        )
     };
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("host cores: {host_cores}");
 
-    // --- Cell 1: sweep dispatch, 1 lane vs 4. ---
+    // --- Cell 1: sweep dispatch, 1 lane vs the default lane count. ---
     let workload = WorkloadConfig {
         pairs_total: sweep_pairs,
         other_work_ns: 6_000,
         capacity: 4_096,
         mem_budget: None,
     };
+    let lanes = default_lanes(sweep_seeds);
     let serial_secs = timed_sweep(1, sweep_seeds, &workload);
-    let parallel_secs = timed_sweep(4, sweep_seeds, &workload);
-    let sweep_speedup = serial_secs / parallel_secs;
-    eprintln!("sweep dispatch speedup at 4 lanes: {sweep_speedup:.2}x");
+    let default_secs = timed_sweep(lanes, sweep_seeds, &workload);
+    let sweep_speedup = serial_secs / default_secs;
+    eprintln!("sweep dispatch speedup at {lanes} lane(s): {sweep_speedup:.2}x");
 
-    // --- Cell 2: backend identity and wall-clock at 64/128 processors. ---
-    let scale_pairs = if smoke { 8 } else { 25 };
-    let mut scale_cells = Vec::new();
-    let mut identical = true;
-    for processors in [64_usize, 128] {
-        let (serial_report, serial_wall) = scale_run(processors, 0, scale_pairs);
-        let (frames_report, frames_wall) = scale_run(processors, FRAME_WORKERS, scale_pairs);
-        let same = serial_report == frames_report;
-        identical &= same;
-        eprintln!(
-            "{processors}p x {scale_pairs} pairs: serial {serial_wall:.3}s, \
-             frame-stepped ({FRAME_WORKERS} workers) {frames_wall:.3}s, identical={same}"
-        );
-        scale_cells.push((
-            processors,
-            serial_report.elapsed_ns,
-            serial_wall,
-            frames_wall,
-            same,
-        ));
-    }
-
-    // --- Cell 3: the 32-seed sweep at 64 processors completes. ---
+    // --- Cell 2: the 32-seed sweep at 64 processors completes. ---
     let high_workload = WorkloadConfig {
-        pairs_total: 64 * scale_pairs,
+        pairs_total: 64 * high_pairs_per_proc,
         other_work_ns: 6_000,
         capacity: 8_192,
         mem_budget: None,
@@ -157,47 +121,38 @@ fn main() {
     eprintln!("high-scale sweep ({high_seeds} seeds x 64p): {high_scale_secs:.3}s wall-clock");
 
     // --- Acceptance. ---
-    // The >= 2x dispatch claim only stands on hosts that can run 4 lanes
-    // on 4 cores; smaller machines record their measured number and pass
-    // on the gate.
-    let sweep_speedup_ok = sweep_speedup >= 2.0 || host_cores < 4;
+    let sweep_lanes_no_slower = default_secs <= LANES_SLOWDOWN_BOUND * serial_secs;
     eprintln!(
-        "acceptance: sweep_speedup_ok={sweep_speedup_ok} backend_identity={identical} \
-         high_scale_completed=true"
+        "acceptance: sweep_lanes_no_slower={sweep_lanes_no_slower} high_scale_completed=true"
     );
 
     // --- JSON report. ---
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"description\": \"parallel simulator backends: seed-sweep dispatch wall-clock (1 vs 4 lanes), frame-stepped backend identity and wall-clock at 64/128 processors, 32-seed sweep completion at 64 processors\","
+        "  \"description\": \"simulator seed-sweep lanes: 16-seed sweep wall-clock at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors\","
     );
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"sweep\": {{");
     let _ = writeln!(json, "    \"seeds\": {sweep_seeds},");
     let _ = writeln!(json, "    \"workload_pairs\": {sweep_pairs},");
+    let _ = writeln!(json, "    \"default_lanes\": {lanes},");
     let _ = writeln!(json, "    \"serial_secs\": {serial_secs:.4},");
-    let _ = writeln!(json, "    \"four_lane_secs\": {parallel_secs:.4},");
-    let _ = writeln!(json, "    \"speedup_at_4_lanes\": {sweep_speedup:.3}");
-    json.push_str("  },\n  \"frame_backend\": [\n");
-    for (i, (processors, elapsed_ns, serial_wall, frames_wall, same)) in
-        scale_cells.iter().enumerate()
-    {
-        let _ = writeln!(
-            json,
-            "    {{\"processors\": {processors}, \"workers\": {FRAME_WORKERS}, \"elapsed_virtual_ns\": {elapsed_ns}, \"serial_wall_secs\": {serial_wall:.4}, \"frames_wall_secs\": {frames_wall:.4}, \"reports_identical\": {same}}}{}",
-            if i + 1 == scale_cells.len() { "" } else { "," }
-        );
-    }
-    json.push_str("  ],\n");
+    let _ = writeln!(json, "    \"default_secs\": {default_secs:.4},");
+    let _ = writeln!(
+        json,
+        "    \"speedup_at_default_lanes\": {sweep_speedup:.3},"
+    );
+    let _ = writeln!(json, "    \"slowdown_bound\": {LANES_SLOWDOWN_BOUND}");
+    json.push_str("  },\n");
     let _ = writeln!(
         json,
         "  \"high_scale_sweep\": {{\"seeds\": {high_seeds}, \"processors\": 64, \"wall_secs\": {high_scale_secs:.4}, \"completed\": true}},"
     );
     let _ = writeln!(
         json,
-        "  \"acceptance\": {{\"sweep_speedup_ok\": {sweep_speedup_ok}, \"backend_identity\": {identical}, \"high_scale_completed\": true}}"
+        "  \"acceptance\": {{\"sweep_lanes_no_slower\": {sweep_lanes_no_slower}, \"high_scale_completed\": true}}"
     );
     json.push_str("}\n");
 

@@ -14,8 +14,8 @@
 //! The legacy entry points (`run_simulated`, `run_simulated_faulted`,
 //! `run_simulated_recovered`, `run_simulated_repaired`,
 //! `run_simulated_batched`, `run_native`, `run_native_batched`) are thin
-//! wrappers over the same driver, and the `backend_equivalence`
-//! integration test pins their `SimReport`s byte-identical to the
+//! wrappers over the same driver, and the `scenario_pins` integration
+//! test pins their `SimReport`s to digests recorded from the
 //! pre-refactor loops.
 //!
 //! Three scenario shapes beyond the paper's ship here:
@@ -1264,6 +1264,24 @@ mod tests {
         );
         assert_eq!(out.tallies, vec![300, 300, 300]);
         assert_eq!(out.point.pairs_completed, 900, "300 items x 3 stages");
+    }
+
+    #[test]
+    fn pipeline_is_deterministic() {
+        let run = || {
+            run_scenario_simulated(
+                Algorithm::SingleLock,
+                cfg(3),
+                PipelineScenario {
+                    workload: tiny(),
+                    stages: 3,
+                },
+                FaultPlan::new(),
+            )
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.tallies, b.tallies);
+        assert_eq!(a.sim_report, b.sim_report);
     }
 
     #[test]

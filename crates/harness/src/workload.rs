@@ -100,8 +100,8 @@ pub(crate) fn share(total: u64, n: usize, pid: usize) -> u64 {
 /// Figure 5.
 ///
 /// A thin wrapper over [`run_scenario_simulated`] with the
-/// [`PairedScenario`] and an empty fault plan; the `backend_equivalence`
-/// test pins its `SimReport` byte-identical to the pre-engine loop.
+/// [`PairedScenario`] and an empty fault plan; the `scenario_pins` test
+/// pins its `SimReport` to digests recorded from the pre-engine loop.
 pub fn run_simulated(
     algorithm: Algorithm,
     sim_config: SimConfig,
@@ -212,7 +212,7 @@ pub fn run_simulated_faulted(
 /// residual share (replayed with [`RECOVERY_BIT`]-marked values) before
 /// stamping the handoff with `mark_recovered`. The whole recovery
 /// schedule is a pure function of the seed, so the reported
-/// time-to-recover replays byte-identically on both backends.
+/// time-to-recover replays byte-identically.
 ///
 /// The expected asymmetry is the paper's dichotomy: on a non-blocking
 /// queue the survivor completes the victim's share (recovery cost ≈ the

@@ -92,9 +92,7 @@ pub(crate) struct Processor {
     pub(crate) quantum_left_ns: u64,
     /// Deterministic xorshift state for quantum jitter.
     pub(crate) rng: u64,
-    /// Quantum expiries charged on this processor. Kept per-processor so
-    /// the frame backend's commit workers never contend on a global
-    /// counter; the report sums them.
+    /// Quantum expiries charged on this processor; the report sums them.
     pub(crate) preemptions: u64,
 }
 
@@ -166,96 +164,6 @@ pub(crate) struct Core {
     pub(crate) repairs: Vec<crate::report::RepairReport>,
     /// Enqueue-to-dequeue latency samples, in completion order.
     pub(crate) latencies: Vec<crate::report::LatencySample>,
-}
-
-/// Applies `op` to one cell on behalf of one process on processor `cpu`,
-/// mutating only the three disjoint pieces it is handed. Both backends —
-/// the serial token scheduler and the frame engine's parallel commit
-/// workers — fund every shared-memory operation through this one function,
-/// so the cost arithmetic and cache-state transitions cannot drift apart.
-pub(crate) fn apply_parts(
-    cfg: &SimConfig,
-    state: &mut CellState,
-    process: &mut Process,
-    cpu: usize,
-    op: MemOp,
-) -> (MemResult, u64) {
-    let mut cost = cfg.t_local_ns;
-
-    let is_read_only = matches!(op, MemOp::Load);
-    if is_read_only {
-        if state.sharers.contains(cpu) {
-            cost += cfg.t_hit_ns;
-            process.cache_hits += 1;
-        } else {
-            cost += cfg.t_miss_ns;
-            process.cache_misses += 1;
-        }
-        state.sharers.insert(cpu);
-    } else {
-        let others = state.sharers.others(cpu);
-        if state.sharers.is_exactly(cpu) {
-            cost += cfg.t_hit_ns;
-            process.cache_hits += 1;
-        } else {
-            cost += cfg.t_miss_ns + cfg.t_inval_ns * others;
-            process.cache_misses += 1;
-        }
-        state.sharers = SharerSet::only(cpu);
-        if !matches!(op, MemOp::Store(_)) {
-            cost += cfg.t_rmw_ns;
-        }
-    }
-
-    let prev = state.value;
-    let mut cas_failed = false;
-    let value = match op {
-        MemOp::Load => Ok(prev),
-        MemOp::Store(v) => {
-            state.value = v;
-            Ok(prev)
-        }
-        MemOp::CompareExchange { current, new } => {
-            if prev == current {
-                state.value = new;
-                Ok(prev)
-            } else {
-                cas_failed = true;
-                Err(prev)
-            }
-        }
-        MemOp::Swap(v) => {
-            state.value = v;
-            Ok(prev)
-        }
-        MemOp::FetchAdd(d) => {
-            state.value = prev.wrapping_add(d);
-            Ok(prev)
-        }
-    };
-    process.ops += 1;
-    if cas_failed {
-        process.cas_failures += 1;
-    }
-    (MemResult { value, cas_failed }, cost)
-}
-
-/// Advances one processor's clock by `cost` and performs quantum
-/// accounting, mutating nothing outside that processor. Shared by both
-/// backends for the same reason as [`apply_parts`].
-pub(crate) fn charge_parts(cfg: &SimConfig, processor: &mut Processor, pid: usize, cost: u64) {
-    processor.clock_ns += cost;
-    if processor.run_queue.len() > 1 {
-        processor.quantum_left_ns = processor.quantum_left_ns.saturating_sub(cost);
-        if processor.quantum_left_ns == 0 {
-            let front = processor.run_queue.pop_front().expect("non-empty");
-            debug_assert_eq!(front, pid);
-            processor.run_queue.push_back(front);
-            processor.clock_ns += cfg.ctx_switch_ns;
-            processor.quantum_left_ns = processor.next_quantum(cfg.quantum_ns);
-            processor.preemptions += 1;
-        }
-    }
 }
 
 impl Core {
@@ -345,8 +253,8 @@ impl Core {
 
     /// Posts `pid`'s death notice on the board (if one was requested).
     /// The bit is set directly — no cost, no cache effects — which is
-    /// deterministic because both backends call this at the same commit
-    /// point; the cache model only prices reads, it never hides values,
+    /// deterministic because the kill lands at a fixed point of the
+    /// schedule; the cache model only prices reads, it never hides values,
     /// so a survivor's next charged load of the board sees the bit.
     pub(crate) fn note_death(&mut self, pid: usize) {
         if let Some(cell) = self.kill_board {
@@ -414,15 +322,68 @@ impl Core {
     /// Applies `op` to cell `cell` on behalf of `pid`, returning the result
     /// and the virtual-time cost under the coherence model.
     pub(crate) fn apply(&mut self, pid: usize, cell: u32, op: MemOp) -> (MemResult, u64) {
-        let cpu = self.processes[pid].cpu;
-        let (result, cost) = apply_parts(
-            &self.cfg,
-            &mut self.cells[cell as usize],
-            &mut self.processes[pid],
-            cpu,
-            op,
-        );
-        let cas_failed = result.cas_failed;
+        let cfg = &self.cfg;
+        let state = &mut self.cells[cell as usize];
+        let process = &mut self.processes[pid];
+        let cpu = process.cpu;
+        let mut cost = cfg.t_local_ns;
+
+        let is_read_only = matches!(op, MemOp::Load);
+        if is_read_only {
+            if state.sharers.contains(cpu) {
+                cost += cfg.t_hit_ns;
+                process.cache_hits += 1;
+            } else {
+                cost += cfg.t_miss_ns;
+                process.cache_misses += 1;
+            }
+            state.sharers.insert(cpu);
+        } else {
+            let others = state.sharers.others(cpu);
+            if state.sharers.is_exactly(cpu) {
+                cost += cfg.t_hit_ns;
+                process.cache_hits += 1;
+            } else {
+                cost += cfg.t_miss_ns + cfg.t_inval_ns * others;
+                process.cache_misses += 1;
+            }
+            state.sharers = SharerSet::only(cpu);
+            if !matches!(op, MemOp::Store(_)) {
+                cost += cfg.t_rmw_ns;
+            }
+        }
+
+        let prev = state.value;
+        let mut cas_failed = false;
+        let value = match op {
+            MemOp::Load => Ok(prev),
+            MemOp::Store(v) => {
+                state.value = v;
+                Ok(prev)
+            }
+            MemOp::CompareExchange { current, new } => {
+                if prev == current {
+                    state.value = new;
+                    Ok(prev)
+                } else {
+                    cas_failed = true;
+                    Err(prev)
+                }
+            }
+            MemOp::Swap(v) => {
+                state.value = v;
+                Ok(prev)
+            }
+            MemOp::FetchAdd(d) => {
+                state.value = prev.wrapping_add(d);
+                Ok(prev)
+            }
+        };
+        process.ops += 1;
+        if cas_failed {
+            process.cas_failures += 1;
+        }
+        let result = MemResult { value, cas_failed };
         if self.trace.len() < self.cfg.trace_capacity {
             self.trace.push(crate::report::TraceEvent {
                 at_ns: self.processors[cpu].clock_ns,
@@ -457,7 +418,19 @@ impl Core {
     /// accounting (round-robin rotation with context-switch cost).
     pub(crate) fn charge(&mut self, pid: usize, cost: u64) {
         let cpu = self.processes[pid].cpu;
-        charge_parts(&self.cfg, &mut self.processors[cpu], pid, cost);
+        let processor = &mut self.processors[cpu];
+        processor.clock_ns += cost;
+        if processor.run_queue.len() > 1 {
+            processor.quantum_left_ns = processor.quantum_left_ns.saturating_sub(cost);
+            if processor.quantum_left_ns == 0 {
+                let front = processor.run_queue.pop_front().expect("non-empty");
+                debug_assert_eq!(front, pid);
+                processor.run_queue.push_back(front);
+                processor.clock_ns += self.cfg.ctx_switch_ns;
+                processor.quantum_left_ns = processor.next_quantum(self.cfg.quantum_ns);
+                processor.preemptions += 1;
+            }
+        }
     }
 
     /// Picks the next process to hold the token: the front of the run queue
@@ -525,8 +498,6 @@ impl Core {
     /// a starved process with a dead peer was (to the watchdog's best
     /// knowledge) waiting on the dead holder's resource — the repairable
     /// case — while starvation with every peer alive is live contention.
-    /// Both backends classify at the same commit point with the same
-    /// rule, so the verdict is deterministic.
     pub(crate) fn note_blocked(&mut self, pid: usize) {
         let kind = if self.killed.is_empty() {
             crate::report::BlockedKind::LiveContention
@@ -590,9 +561,6 @@ impl Core {
     }
 
     /// Builds the final [`crate::report::SimReport`] from the core state.
-    /// Both backends report through this one function, so the byte-identity
-    /// contract reduces to "both backends leave the core in the same
-    /// state".
     pub(crate) fn snapshot_report(&self) -> crate::report::SimReport {
         crate::report::SimReport {
             elapsed_ns: self
@@ -852,7 +820,13 @@ impl SimShared {
         pid: usize,
         matches: impl Fn(&FaultTrigger) -> bool,
     ) -> Option<FaultAction> {
-        crate::fault::take_matching_fault(&self.plan, &mut core.fault_fired, pid, matches)
+        for (i, spec) in self.plan.specs.iter().enumerate() {
+            if spec.pid == pid && !core.fault_fired[i] && matches(&spec.trigger) {
+                core.fault_fired[i] = true;
+                return Some(spec.action);
+            }
+        }
+        None
     }
 
     /// Applies a fired fault to `pid` (which holds the token). Kill never

@@ -29,25 +29,14 @@
 //! Algorithms do not know they are being simulated: [`SimPlatform`]
 //! implements [`msq_platform::Platform`], and each simulated process runs
 //! the ordinary Rust implementation of its algorithm on a dedicated worker
-//! thread. Two execution backends produce the identical schedule:
+//! thread. Only one process thread executes at a time — a token passes to
+//! the process chosen by the virtual-time rule — so the simulation is
+//! sequentialized and deterministic regardless of host parallelism.
 //!
-//! * **Serial token backend** (the default): only one process thread
-//!   executes at a time — a token passes to the process chosen by the
-//!   virtual-time rule — so the simulation is sequentialized and
-//!   deterministic regardless of host parallelism.
-//! * **Frame-stepped backend** (`MSQ_SIM_WORKERS=n` or
-//!   [`SimConfig::sim_workers`]): process threads park their next
-//!   shared-memory effect at a frame barrier; an engine commits effects
-//!   in the serial backend's exact order, batching provably-independent
-//!   commits (distinct cells, tied minimum clocks) across a worker pool.
-//!   Every [`SimReport`] is byte-identical to the serial backend's — the
-//!   `backend_equivalence` integration test enforces it.
-//!
-//! Seed sweeps ([`schedule_sweep`]) additionally parallelize across
-//! *runs*: independent seeds dispatch onto `MSQ_SWEEP_LANES` host
-//! threads (default: one per available core), with failures always
-//! reported at the minimal failing seed index, exactly as the serial
-//! sweep would.
+//! Seed sweeps ([`schedule_sweep`]) parallelize across *runs* instead:
+//! independent seeds dispatch onto `MSQ_SWEEP_LANES` host threads
+//! (default: one per available core), with failures always reported at
+//! the minimal failing seed index, exactly as the serial sweep would.
 //!
 //! # Example
 //!
@@ -74,9 +63,7 @@
 
 mod config;
 mod core;
-mod engine;
 mod fault;
-mod frame;
 mod platform;
 mod recovery;
 mod report;
@@ -84,7 +71,6 @@ mod runner;
 mod sweep;
 
 pub use config::SimConfig;
-pub use engine::env_workers;
 pub use fault::{FaultAction, FaultPlan, FaultSpec, FaultTrigger};
 pub use platform::{SimCell, SimPlatform};
 pub use recovery::RecoveryPolicy;
@@ -93,4 +79,4 @@ pub use report::{
     TraceKind,
 };
 pub use runner::{ProcessInfo, Simulation};
-pub use sweep::{schedule_sweep, schedule_sweep_with};
+pub use sweep::{default_lanes, schedule_sweep, schedule_sweep_with};

@@ -9,7 +9,7 @@
 //! the victim's unfinished share, and stamps the handoff with
 //! [`crate::SimPlatform::mark_recovered`] — all of it a pure function of
 //! the seed, so every recovery (and its time-to-recover) replays
-//! byte-identically on both backends.
+//! byte-identically.
 
 /// Which survivor absorbs a killed process's remaining work share.
 ///

@@ -31,9 +31,8 @@ use crate::core::splitmix64;
 ///
 /// On failure, prints the minimal failing sweep index and seed — the
 /// shrunk, single-schedule reproduction — plus a ready-to-paste
-/// `MSQ_SWEEP_SEED=<seed> MSQ_SIM_WORKERS=<n> cargo test …` command line
-/// naming the execution backend the sweep ran under, and resumes the
-/// panic. Setting `MSQ_SWEEP_SEED` pins the sweep to that single seed
+/// `MSQ_SWEEP_SEED=<seed> cargo test -q <test>` command line, and resumes
+/// the panic. Setting `MSQ_SWEEP_SEED` pins the sweep to that single seed
 /// (the printed reproducer does exactly this).
 ///
 /// # Example
@@ -147,7 +146,7 @@ where
 }
 
 /// One wall-clock line per completed sweep, so CI logs show what the
-/// lanes (and the per-run backend) buy on the sweep-heavy suites.
+/// lanes buy on the sweep-heavy suites.
 /// Opt-in via `MSQ_SWEEP_TIMINGS=1`: `eprintln!` bypasses the test
 /// harness's output capture, so unconditional per-sweep lines would
 /// spam every `cargo test -q` run of the sweep-heavy suites. CI lanes
@@ -157,8 +156,7 @@ fn report_timing(test: &str, seeds: u64, lanes: usize, started: std::time::Insta
         return;
     }
     eprintln!(
-        "schedule_sweep: {test}: {seeds} seeds x {lanes} lane(s) ({}) in {:.3}s wall-clock",
-        crate::engine::backend_label(crate::engine::env_workers()),
+        "schedule_sweep: {test}: {seeds} seeds x {lanes} lane(s) in {:.3}s wall-clock",
         started.elapsed().as_secs_f64()
     );
 }
@@ -183,19 +181,21 @@ fn sweep_seed(index: u64) -> u64 {
 }
 
 fn report_failure(test: &str, index: u64, seeds: u64, seed: u64) {
-    let workers = crate::engine::env_workers();
-    let backend = crate::engine::backend_label(workers);
     eprintln!(
         "schedule_sweep: minimal failing schedule at sweep index {index} \
-         of {seeds} (ran under the {backend}); reproduce with \
-         `SimConfig {{ seed: {seed:#x}, .. }}` or:\n    \
-         MSQ_SWEEP_SEED={seed} MSQ_SIM_WORKERS={workers} cargo test -q {test}"
+         of {seeds}; reproduce with `SimConfig {{ seed: {seed:#x}, .. }}` or:\n    \
+         MSQ_SWEEP_SEED={seed} cargo test -q {test}"
     );
 }
 
-/// Lane count when the caller does not pick one: `MSQ_SWEEP_LANES` if
-/// set, else the host's available parallelism, capped at the seed count.
-fn default_lanes(seeds: u64) -> usize {
+/// The lane count [`schedule_sweep`] uses for a `seeds`-seed sweep:
+/// `MSQ_SWEEP_LANES` if set, else the host's available parallelism,
+/// capped at the seed count.
+///
+/// # Panics
+///
+/// Panics if `MSQ_SWEEP_LANES` is set but not a positive integer.
+pub fn default_lanes(seeds: u64) -> usize {
     if let Ok(raw) = std::env::var("MSQ_SWEEP_LANES") {
         let lanes: usize = raw
             .trim()
