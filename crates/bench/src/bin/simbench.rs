@@ -1,9 +1,8 @@
-//! Wall-clock numbers for the simulator's seed-sweep lanes →
-//! `BENCH_sim.json`.
+//! Wall-clock numbers for the simulator → `BENCH_sim.json`.
 //!
 //! The simulator's *results* are virtual-time and host-independent; this
-//! bench measures the only thing sweep lanes are allowed to change — how
-//! long the host takes to produce them:
+//! bench measures the only thing the engine and the sweep lanes are
+//! allowed to change — how long the host takes to produce them:
 //!
 //! 1. **Sweep dispatch**: a 16-seed `schedule_sweep_with` of the Section 4
 //!    workload on the M&S queue, timed at 1 lane and at the lane count
@@ -13,6 +12,12 @@
 //! 2. **High-scale sweep completion**: a 32-seed sweep at 64 simulated
 //!    processors runs to completion — the raised processor ceiling
 //!    exercised end to end, with the per-sweep wall-clock printed.
+//! 3. **Full-scale Figure 3**: one new-nonblocking run at 8 processors ×
+//!    1 process with the paper's full 10^6 pairs (the `figures` bin's
+//!    quantum scaling), recording its wall seconds, simulated ops per
+//!    wall-second and virtual ns per pair.
+//! 4. **Throughput by machine size**: simulated ops per wall-second of
+//!    one Figure 3 run each at 4, 64 and 128 processors.
 //!
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! simbench`. Writes `BENCH_sim.json` in the current directory. Pass
@@ -21,8 +26,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use msq_harness::{run_simulated, Algorithm, WorkloadConfig};
-use msq_sim::{default_lanes, schedule_sweep_with, SimConfig};
+use msq_harness::{
+    run_scenario_simulated, run_simulated, Algorithm, PairedScenario, WorkloadConfig,
+};
+use msq_sim::{default_lanes, schedule_sweep_with, FaultPlan, SimConfig};
 
 /// Seeds in the timed dispatch sweep.
 const SWEEP_SEEDS: u64 = 16;
@@ -39,6 +46,15 @@ const SMOKE_SWEEP_PAIRS: u64 = 400;
 /// Pairs per simulated processor in the high-scale sweep.
 const HIGH_SCALE_PAIRS_PER_PROC: u64 = 25;
 const SMOKE_HIGH_SCALE_PAIRS_PER_PROC: u64 = 8;
+
+/// Pairs in the full-scale Figure 3 run: the paper's 10^6.
+const FULL_SCALE_PAIRS: u64 = 1_000_000;
+const SMOKE_FULL_SCALE_PAIRS: u64 = 20_000;
+
+/// Pairs per run of the throughput-by-machine-size cell.
+const SCALING_PAIRS: u64 = 20_000;
+const SMOKE_SCALING_PAIRS: u64 = 2_000;
+const SCALING_PROCESSORS: [usize; 3] = [4, 64, 128];
 
 /// How much slower than one lane the default lane count may run before
 /// the dispatch counts as a regression: the host-time bound the
@@ -65,6 +81,79 @@ fn timed_sweep(lanes: usize, seeds: u64, workload: &WorkloadConfig) -> f64 {
     secs
 }
 
+/// One timed Figure 3 run (new-nonblocking, one process per processor).
+struct Fig3Run {
+    processors: usize,
+    pairs: u64,
+    wall_secs: f64,
+    total_ops: u64,
+    virtual_ns_per_pair: f64,
+    /// Every pair completed and the queue drained empty.
+    completed: bool,
+}
+
+impl Fig3Run {
+    fn ops_per_sec(&self) -> f64 {
+        self.total_ops as f64 / self.wall_secs
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"processors\": {}, \"pairs\": {}, \"wall_secs\": {:.4}, \"total_ops\": {}, \
+             \"ops_per_wall_sec\": {:.0}, \"virtual_ns_per_pair\": {:.2}, \"completed\": {}}}",
+            self.processors,
+            self.pairs,
+            self.wall_secs,
+            self.total_ops,
+            self.ops_per_sec(),
+            self.virtual_ns_per_pair,
+            self.completed
+        )
+    }
+}
+
+/// Runs the Figure 3 workload at `processors` x 1 on the machine the
+/// `figures` bin builds for `pairs` pairs: the paper's 10 ms quantum
+/// scaled by pairs / 10^6, and a context switch of 1/400 of it.
+fn fig3_run(processors: usize, pairs: u64) -> Fig3Run {
+    let quantum_ns = (10_000_000 * pairs / 1_000_000).max(20_000);
+    let cfg = SimConfig {
+        processors,
+        quantum_ns,
+        ctx_switch_ns: (quantum_ns / 400).max(200),
+        ..SimConfig::default()
+    };
+    let workload = WorkloadConfig {
+        pairs_total: pairs,
+        ..WorkloadConfig::default()
+    };
+    let start = Instant::now();
+    let out = run_scenario_simulated(
+        Algorithm::NewNonBlocking,
+        cfg,
+        PairedScenario { workload },
+        FaultPlan::new(),
+    );
+    let wall_secs = start.elapsed().as_secs_f64();
+    let point = &out.point;
+    let run = Fig3Run {
+        processors,
+        pairs,
+        wall_secs,
+        total_ops: out.sim_report.as_ref().map_or(0, |r| r.total_ops),
+        virtual_ns_per_pair: point.point.net_ns as f64 / pairs as f64,
+        completed: point.pairs_completed == pairs
+            && point.drained == Some(0)
+            && point.killed.is_empty()
+            && point.blocked.is_empty(),
+    };
+    eprintln!(
+        "figure 3 at {processors}p, {pairs} pairs: {wall_secs:.3}s wall-clock, {:.0} simulated ops/s",
+        run.ops_per_sec()
+    );
+    run
+}
+
 fn main() {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let (sweep_seeds, high_seeds, sweep_pairs, high_pairs_per_proc) = if smoke {
@@ -81,6 +170,11 @@ fn main() {
             SWEEP_PAIRS,
             HIGH_SCALE_PAIRS_PER_PROC,
         )
+    };
+    let (full_scale_pairs, scaling_pairs) = if smoke {
+        (SMOKE_FULL_SCALE_PAIRS, SMOKE_SCALING_PAIRS)
+    } else {
+        (FULL_SCALE_PAIRS, SCALING_PAIRS)
     };
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("host cores: {host_cores}");
@@ -120,17 +214,28 @@ fn main() {
     let high_scale_secs = start.elapsed().as_secs_f64();
     eprintln!("high-scale sweep ({high_seeds} seeds x 64p): {high_scale_secs:.3}s wall-clock");
 
+    // --- Cell 3: Figure 3 at the paper's full scale. ---
+    let full_scale = fig3_run(8, full_scale_pairs);
+
+    // --- Cell 4: simulated ops per wall-second by machine size. ---
+    let scaling: Vec<Fig3Run> = SCALING_PROCESSORS
+        .iter()
+        .map(|&p| fig3_run(p, scaling_pairs))
+        .collect();
+
     // --- Acceptance. ---
     let sweep_lanes_no_slower = default_secs <= LANES_SLOWDOWN_BOUND * serial_secs;
+    let full_scale_fig3_completed = full_scale.completed;
     eprintln!(
-        "acceptance: sweep_lanes_no_slower={sweep_lanes_no_slower} high_scale_completed=true"
+        "acceptance: sweep_lanes_no_slower={sweep_lanes_no_slower} high_scale_completed=true \
+         full_scale_fig3_completed={full_scale_fig3_completed}"
     );
 
     // --- JSON report. ---
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"description\": \"simulator seed-sweep lanes: 16-seed sweep wall-clock at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors\","
+        "  \"description\": \"simulator wall-clock: 16-seed sweep at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors, Figure 3 (new-nonblocking, 8p x 1) at the paper's 10^6 pairs, and simulated ops per wall-second at 4/64/128 processors\","
     );
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
@@ -150,9 +255,17 @@ fn main() {
         json,
         "  \"high_scale_sweep\": {{\"seeds\": {high_seeds}, \"processors\": 64, \"wall_secs\": {high_scale_secs:.4}, \"completed\": true}},"
     );
+    let _ = writeln!(json, "  \"full_scale_fig3\": {},", full_scale.json());
+    let scaling_json: Vec<String> = scaling.iter().map(Fig3Run::json).collect();
     let _ = writeln!(
         json,
-        "  \"acceptance\": {{\"sweep_lanes_no_slower\": {sweep_lanes_no_slower}, \"high_scale_completed\": true}}"
+        "  \"throughput_by_processors\": [\n    {}\n  ],",
+        scaling_json.join(",\n    ")
+    );
+    let _ = writeln!(
+        json,
+        "  \"acceptance\": {{\"sweep_lanes_no_slower\": {sweep_lanes_no_slower}, \"high_scale_completed\": true, \
+         \"full_scale_fig3_completed\": {full_scale_fig3_completed}}}"
     );
     json.push_str("}\n");
 

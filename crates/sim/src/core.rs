@@ -1,14 +1,15 @@
 //! Scheduler core: virtual clocks, run queues, the coherence cost model,
-//! and the token-passing protocol that sequentializes worker threads.
+//! and the token-passing protocol that sequentializes the simulated
+//! processes (fibers on the thread that called `Simulation::run`).
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::config::SimConfig;
 use crate::fault::{FaultAction, FaultPlan, FaultTrigger};
 
-/// Panic payload used to unwind a worker whose process was killed by the
-/// fault layer. The runner recognizes it and swallows the unwind instead
+/// Panic payload used to unwind a process that was killed by the fault
+/// layer. The runner recognizes it and swallows the unwind instead
 /// of treating it as a test failure.
 pub(crate) struct ProcessKilled;
 
@@ -141,7 +142,6 @@ pub(crate) struct Core {
     /// The process holding the execution token, or [`NOBODY`].
     pub(crate) running: usize,
     pub(crate) live: usize,
-    pub(crate) started: bool,
     pub(crate) trace: Vec<crate::report::TraceEvent>,
     /// One flag per [`FaultPlan`] spec: each fault fires at most once.
     pub(crate) fault_fired: Vec<bool>,
@@ -222,7 +222,6 @@ impl Core {
             processes,
             running: NOBODY,
             live: n,
-            started: false,
             trace: Vec::new(),
             fault_fired: vec![false; fault_slots],
             killed: Vec::new(),
@@ -602,15 +601,18 @@ impl Core {
     }
 }
 
-/// Shared scheduler state: the core under a mutex plus one condvar per
-/// process (avoiding thundering-herd wakeups) and one for the coordinator.
+/// Shared scheduler state: the core under a mutex, plus the fault plan.
+///
+/// Every simulated process is a fiber on the thread running the
+/// simulation, so the mutex is never contended during a run; it makes the
+/// handle `Sync` for setup and inspection from other threads. A process
+/// that finds another holding the token drops the guard and suspends to
+/// the run loop ([`crate::fiber::suspend`]), which resumes the holder.
 pub(crate) struct SimShared {
     core: Mutex<Core>,
     /// The run's fault schedule (immutable; empty by default). Kept outside
     /// the mutex so `fault_point` can precheck without locking.
     plan: FaultPlan,
-    process_cv: Vec<Condvar>,
-    done_cv: Condvar,
 }
 
 impl SimShared {
@@ -626,22 +628,24 @@ impl SimShared {
         SimShared {
             core: Mutex::new(Core::new(cfg, plan.specs.len())),
             plan,
-            process_cv: (0..n).map(|_| Condvar::new()).collect(),
-            done_cv: Condvar::new(),
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().expect("sim lock")
+    }
+
     pub fn config(&self) -> SimConfig {
-        self.core.lock().expect("sim lock").cfg
+        self.lock().cfg
     }
 
     pub fn alloc_cell(&self, init: u64) -> u32 {
-        self.core.lock().expect("sim lock").alloc_cell(init)
+        self.lock().alloc_cell(init)
     }
 
     /// Returns the death-notice cell (allocating it on first use).
     pub fn death_board(&self) -> u32 {
-        self.core.lock().expect("sim lock").death_board()
+        self.lock().death_board()
     }
 
     /// Records, on behalf of `pid`, that the remaining share of killed
@@ -649,10 +653,9 @@ impl SimShared {
     /// record itself is free: `pid` keeps the token and is charged
     /// nothing — the *work* of catching up was already charged op by op.
     pub fn mark_recovered(&self, pid: usize, victim: usize) {
-        let mut core = self.wait_for_token(pid);
-        if core.processes[pid].finished {
+        let Ok(mut core) = self.wait_for_token(pid) else {
             return;
-        }
+        };
         core.note_recovery(victim, pid);
     }
 
@@ -661,10 +664,9 @@ impl SimShared {
     /// Free, exactly like [`SimShared::mark_recovered`]: the repair's
     /// memory traffic was already charged op by op.
     pub fn mark_repaired(&self, pid: usize, victim: usize, point: &'static str) {
-        let mut core = self.wait_for_token(pid);
-        if core.processes[pid].finished {
+        let Ok(mut core) = self.wait_for_token(pid) else {
             return;
-        }
+        };
         core.note_repair(victim, pid, point);
     }
 
@@ -673,10 +675,9 @@ impl SimShared {
     /// surfaced the item was already charged, and the stamp itself is
     /// pure observability.
     pub fn record_latency(&self, pid: usize, arrival_ns: u64) {
-        let mut core = self.wait_for_token(pid);
-        if core.processes[pid].finished {
+        let Ok(mut core) = self.wait_for_token(pid) else {
             return;
-        }
+        };
         core.note_latency(pid, arrival_ns);
     }
 
@@ -684,31 +685,30 @@ impl SimShared {
     /// and token-keeping: a clock read touches no shared memory, so it
     /// charges nothing and does not pass the token.
     pub fn now_ns(&self, pid: usize) -> u64 {
-        let core = self.wait_for_token(pid);
+        let (Ok(core) | Err(core)) = self.wait_for_token(pid);
         core.clock_of(pid)
     }
 
-    /// Direct, cost-free access for the coordinator thread (setup before
+    /// Direct, cost-free access outside a simulated process (setup before
     /// `run`, inspection after).
     pub fn peek(&self, cell: u32) -> u64 {
-        self.core.lock().expect("sim lock").peek(cell)
+        self.lock().peek(cell)
     }
 
     pub fn poke(&self, cell: u32, value: u64) {
-        self.core.lock().expect("sim lock").poke(cell, value)
+        self.lock().poke(cell, value)
     }
 
-    /// Marks the simulation started and seats the first token holder.
+    /// Seats the first token holder.
     pub fn start(&self) {
-        let mut core = self.core.lock().expect("sim lock");
-        assert!(!core.started, "simulation already started");
-        core.started = true;
+        let mut core = self.lock();
         core.running = core.pick_next();
-        let first = core.running;
-        drop(core);
-        if first != NOBODY {
-            self.process_cv[first].notify_one();
-        }
+    }
+
+    /// The process the run loop must resume next: the token holder, or
+    /// [`NOBODY`] once every process has retired.
+    pub fn token_holder(&self) -> usize {
+        self.lock().running
     }
 
     /// Executes one shared-memory operation on behalf of `pid`, charging
@@ -717,12 +717,13 @@ impl SimShared {
     /// May unwind instead of returning when the fault plan (or watchdog)
     /// kills `pid` at this step.
     pub fn mem_op(&self, pid: usize, cell: u32, op: MemOp) -> Result<u64, u64> {
-        let mut core = self.wait_for_token(pid);
-        if core.processes[pid].finished {
-            // Post-mortem access from a killed process's unwind path.
-            return core.apply_direct(cell, op);
-        }
-        core = self.resolve_step_faults(core, pid);
+        let core = match self.wait_for_token(pid) {
+            Ok(core) => core,
+            // An access from an unwind path: a killed process's or a
+            // panicking one's.
+            Err(mut core) => return core.apply_direct(cell, op),
+        };
+        let mut core = self.resolve_step_faults(core, pid);
         let (result, cost) = core.apply(pid, cell, op);
         self.charge_and_pass(core, pid, cost);
         result.value
@@ -733,10 +734,9 @@ impl SimShared {
     /// May unwind instead of returning when the fault plan (or watchdog)
     /// kills `pid` at this step.
     pub fn delay(&self, pid: usize, nanos: u64) {
-        let core = self.wait_for_token(pid);
-        if core.processes[pid].finished {
+        let Ok(core) = self.wait_for_token(pid) else {
             return;
-        }
+        };
         let core = self.resolve_step_faults(core, pid);
         self.charge_and_pass(core, pid, nanos);
     }
@@ -748,10 +748,9 @@ impl SimShared {
         if !self.plan.watches_labels(pid) {
             return;
         }
-        let mut core = self.wait_for_token(pid);
-        if core.processes[pid].finished {
+        let Ok(mut core) = self.wait_for_token(pid) else {
             return;
-        }
+        };
         let hit = core.next_label_hit(pid, label);
         while let Some(action) = self.take_fault(&mut core, pid, |t| {
             matches!(t, FaultTrigger::Label { label: l, occurrence }
@@ -765,30 +764,20 @@ impl SimShared {
     /// Retires `pid` from the simulation. No-op for a process the fault
     /// layer already retired (kill / watchdog).
     pub fn finish(&self, pid: usize) {
-        let mut core = self.wait_for_token(pid);
-        if core.processes[pid].finished {
+        let Ok(mut core) = self.wait_for_token(pid) else {
             return;
-        }
+        };
         core.remove_process(pid);
         core.running = core.pick_next();
-        let next = core.running;
-        let all_done = core.live == 0;
-        drop(core);
-        if next != NOBODY {
-            self.process_cv[next].notify_one();
-        }
-        if all_done {
-            self.done_cv.notify_all();
-        }
     }
 
     /// Watchdog + op-count fault triggers, checked while `pid` holds the
     /// token at the top of a scheduler entry. Never returns if `pid` dies.
     fn resolve_step_faults<'a>(
         &'a self,
-        mut core: std::sync::MutexGuard<'a, Core>,
+        mut core: MutexGuard<'a, Core>,
         pid: usize,
-    ) -> std::sync::MutexGuard<'a, Core> {
+    ) -> MutexGuard<'a, Core> {
         let watchdog = core.cfg.watchdog_ns;
         if watchdog > 0 {
             let cpu = core.processes[pid].cpu;
@@ -833,10 +822,10 @@ impl SimShared {
     /// returns; stall and preempt yield the token and re-acquire it.
     fn apply_fault<'a>(
         &'a self,
-        mut core: std::sync::MutexGuard<'a, Core>,
+        mut core: MutexGuard<'a, Core>,
         pid: usize,
         action: FaultAction,
-    ) -> std::sync::MutexGuard<'a, Core> {
+    ) -> MutexGuard<'a, Core> {
         match action {
             FaultAction::Kill => {
                 core.killed.push(pid);
@@ -869,79 +858,62 @@ impl SimShared {
         }
     }
 
-    /// Gives up the token (if anyone else should run) and blocks until the
+    /// Gives up the token (if anyone else should run) and waits until the
     /// scheduler hands it back.
     fn yield_token<'a>(
         &'a self,
-        mut core: std::sync::MutexGuard<'a, Core>,
+        mut core: MutexGuard<'a, Core>,
         pid: usize,
-    ) -> std::sync::MutexGuard<'a, Core> {
-        let next = core.pick_next();
-        core.running = next;
-        if next == pid {
-            return core;
-        }
-        drop(core);
-        if next != NOBODY {
-            self.process_cv[next].notify_one();
-        }
-        self.wait_for_token(pid)
-    }
-
-    /// Retires `pid` right now (fault kill or watchdog), hands the token
-    /// on, and unwinds the worker with the [`ProcessKilled`] sentinel.
-    fn kill_locked(&self, mut core: std::sync::MutexGuard<'_, Core>, pid: usize) -> ! {
-        core.remove_process(pid);
+    ) -> MutexGuard<'a, Core> {
         core.running = core.pick_next();
-        let next = core.running;
-        let all_done = core.live == 0;
-        // Never unwind while holding the core mutex: that would poison the
-        // whole simulation.
         drop(core);
-        if next != NOBODY {
-            self.process_cv[next].notify_one();
-        }
-        if all_done {
-            self.done_cv.notify_all();
-        }
-        std::panic::resume_unwind(Box::new(ProcessKilled));
-    }
-
-    /// Blocks the coordinator until every process has finished.
-    pub fn wait_all_done(&self) {
-        let mut core = self.core.lock().expect("sim lock");
-        while core.live > 0 {
-            core = self.done_cv.wait(core).expect("sim lock");
-        }
-    }
-
-    /// Collects final statistics (coordinator, after `wait_all_done`).
-    pub fn snapshot(&self) -> crate::report::SimReport {
-        self.core.lock().expect("sim lock").snapshot_report()
-    }
-
-    fn wait_for_token(&self, pid: usize) -> std::sync::MutexGuard<'_, Core> {
-        let mut core = self.core.lock().expect("sim lock");
-        // A finished (killed) process will never be handed the token again;
-        // let it through so post-mortem accesses can take the direct path
-        // instead of deadlocking.
-        while (!core.started || core.running != pid) && !core.processes[pid].finished {
-            core = self.process_cv[pid].wait(core).expect("sim lock");
-        }
+        let (Ok(core) | Err(core)) = self.wait_for_token(pid);
         core
     }
 
-    fn charge_and_pass(&self, mut core: std::sync::MutexGuard<'_, Core>, pid: usize, cost: u64) {
-        core.charge(pid, cost);
-        let next = core.pick_next();
-        core.running = next;
-        if next != pid {
-            drop(core);
-            if next != NOBODY {
-                self.process_cv[next].notify_one();
+    /// Retires `pid` right now (fault kill or watchdog), hands the token
+    /// on, and unwinds the process with the [`ProcessKilled`] sentinel.
+    /// The unwind runs to the end before anyone else runs: every access
+    /// on the way takes the direct path, because `pid` is now retired.
+    fn kill_locked(&self, mut core: MutexGuard<'_, Core>, pid: usize) -> ! {
+        core.remove_process(pid);
+        core.running = core.pick_next();
+        // Never unwind while holding the core mutex: that would poison the
+        // whole simulation.
+        drop(core);
+        std::panic::resume_unwind(Box::new(ProcessKilled));
+    }
+
+    /// Collects final statistics (after the run).
+    pub fn snapshot(&self) -> crate::report::SimReport {
+        self.lock().snapshot_report()
+    }
+
+    /// Returns the core once `pid` holds the token (`Ok`), suspending to
+    /// the run loop until it does; or at once (`Err`, the direct path)
+    /// when `pid` is on an unwind path. A retired (killed) process will
+    /// never be handed the token again, and a panicking one must not
+    /// switch: another fiber would run inside its unwind.
+    fn wait_for_token(&self, pid: usize) -> Result<MutexGuard<'_, Core>, MutexGuard<'_, Core>> {
+        loop {
+            let core = self.lock();
+            if core.processes[pid].finished || std::thread::panicking() {
+                return Err(core);
             }
+            if core.running == pid {
+                return Ok(core);
+            }
+            drop(core);
+            crate::fiber::suspend();
         }
-        // If next == pid the caller simply proceeds; no handshake needed.
+    }
+
+    /// Charges `cost` to `pid` and seats the next token holder. `pid`
+    /// runs on to its next scheduler entry either way; there it suspends
+    /// if it no longer holds the token.
+    fn charge_and_pass(&self, mut core: MutexGuard<'_, Core>, pid: usize, cost: u64) {
+        core.charge(pid, cost);
+        core.running = core.pick_next();
     }
 }
 

@@ -49,7 +49,7 @@ pub enum FaultAction {
     /// Yank the victim off its processor immediately (mid-quantum), paying
     /// a context switch — the paper's "preempted at the worst moment".
     Preempt,
-    /// Kill the victim permanently: its worker unwinds, its in-flight
+    /// Kill the victim permanently: its process unwinds, its in-flight
     /// operation stays wherever the algorithm left it.
     Kill,
 }

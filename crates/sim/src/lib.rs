@@ -28,10 +28,13 @@
 //!
 //! Algorithms do not know they are being simulated: [`SimPlatform`]
 //! implements [`msq_platform::Platform`], and each simulated process runs
-//! the ordinary Rust implementation of its algorithm on a dedicated worker
-//! thread. Only one process thread executes at a time — a token passes to
-//! the process chosen by the virtual-time rule — so the simulation is
-//! sequentialized and deterministic regardless of host parallelism.
+//! the ordinary Rust implementation of its algorithm as a fiber (a stack
+//! of its own) on the thread that called [`Simulation::run`]. Only one
+//! process executes at a time — a token passes to the process chosen by
+//! the virtual-time rule, and handing it over is a user-space register
+//! switch — so the simulation is sequentialized and deterministic
+//! regardless of host parallelism. The fiber engine supports x86-64 Linux
+//! only.
 //!
 //! Seed sweeps ([`schedule_sweep`]) parallelize across *runs* instead:
 //! independent seeds dispatch onto `MSQ_SWEEP_LANES` host threads
@@ -64,6 +67,7 @@
 mod config;
 mod core;
 mod fault;
+mod fiber;
 mod platform;
 mod recovery;
 mod report;

@@ -9,19 +9,38 @@ use msq_platform::{AtomicWord, Platform};
 use crate::core::{MemOp, SimShared};
 
 thread_local! {
-    /// The simulated process id bound to the current worker thread, or
-    /// `usize::MAX` when the thread is the coordinator (setup/inspection).
+    /// The simulated process running on this thread, or `usize::MAX`
+    /// outside one (setup/inspection).
     static CURRENT_PID: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Per-process counter feeding deterministic backoff-jitter seeds.
+    /// Counter feeding deterministic backoff-jitter seeds: the running
+    /// process's own while one runs, the thread's outside one.
     static SEED_COUNTER: Cell<u64> = const { Cell::new(0) };
 }
 
-pub(crate) fn bind_current_process(pid: usize) {
-    CURRENT_PID.with(|c| c.set(pid));
+/// Who the platform acts for on this thread (a simulated process, or
+/// nobody outside a run), with that party's jitter-seed counter.
+#[derive(Clone, Copy)]
+pub(crate) struct Binding {
+    pid: usize,
+    seeds: u64,
 }
 
-pub(crate) fn unbind_current_process() {
-    CURRENT_PID.with(|c| c.set(usize::MAX));
+impl Binding {
+    /// A simulated process that has drawn no jitter seed yet.
+    pub(crate) fn process(pid: usize) -> Binding {
+        Binding { pid, seeds: 0 }
+    }
+}
+
+/// Installs `binding` on this thread and returns the one it replaces. The
+/// run loop binds each process as it resumes it and restores the outer
+/// binding when the process suspends, so every process keeps its own pid
+/// and seed sequence although all of them share the thread.
+pub(crate) fn bind(binding: Binding) -> Binding {
+    Binding {
+        pid: CURRENT_PID.replace(binding.pid),
+        seeds: SEED_COUNTER.replace(binding.seeds),
+    }
 }
 
 fn current_pid() -> Option<usize> {
@@ -37,9 +56,9 @@ fn current_pid() -> Option<usize> {
 /// Cloning is cheap; clones refer to the same simulated machine. When used
 /// from a simulated process (inside [`crate::Simulation::run`]) every
 /// operation costs virtual time and participates in the deterministic
-/// interleaving; when used from any other thread (queue construction before
-/// the run, result inspection after it) operations apply directly and cost
-/// nothing, mirroring the paper's untimed initialization.
+/// interleaving; when used outside one (queue construction before the run,
+/// result inspection after it) operations apply directly and cost nothing,
+/// mirroring the paper's untimed initialization.
 #[derive(Clone)]
 pub struct SimPlatform {
     shared: Arc<SimShared>,
@@ -117,8 +136,8 @@ impl Platform for SimPlatform {
 
     fn jitter_seed(&self) -> u64 {
         // Derived purely from the calling process's identity and its own
-        // program order, so the seed sequence is identical on every run
-        // regardless of how worker threads interleave on the host.
+        // program order (the run loop swaps each process's counter in),
+        // so the seed sequence is identical on every run.
         let counter = SEED_COUNTER.with(|c| {
             let v = c.get();
             c.set(v + 1);
@@ -138,7 +157,7 @@ impl Platform for SimPlatform {
     fn affinity_hint(&self) -> usize {
         // The simulated process id: stable for the process's lifetime and
         // identical on every run, so sharded structures dispatch
-        // deterministically. Setup/inspection threads (unbound) all map
+        // deterministically. Setup/inspection callers (unbound) all map
         // to 0, which is fine — setup is untimed and single-threaded.
         current_pid().unwrap_or(0)
     }
@@ -207,7 +226,8 @@ impl Platform for SimPlatform {
 ///
 /// Operations performed from a simulated process are charged virtual time
 /// under the coherence cost model and are serialized by the scheduler;
-/// operations from other threads apply immediately and free of charge.
+/// operations from outside a simulated process apply immediately and free
+/// of charge.
 pub struct SimCell {
     id: u32,
     shared: Arc<SimShared>,

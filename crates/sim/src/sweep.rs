@@ -110,32 +110,29 @@ where
     let bound = AtomicU64::new(seeds);
     let failed: Mutex<Option<(u64, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
     std::thread::scope(|scope| {
-        for lane in 0..lanes {
+        for _ in 0..lanes {
             let body = &body;
             let cursor = &cursor;
             let bound = &bound;
             let failed = &failed;
-            std::thread::Builder::new()
-                .name(format!("sweep-lane-{lane}"))
-                .spawn_scoped(scope, move || loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= seeds || index >= bound.load(Ordering::Relaxed) {
-                        return;
+            scope.spawn(move || loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                if index >= seeds || index >= bound.load(Ordering::Relaxed) {
+                    return;
+                }
+                let cfg = SimConfig {
+                    seed: sweep_seed(index),
+                    ..base
+                };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(cfg))) {
+                    bound.fetch_min(index, Ordering::Relaxed);
+                    let mut failed = failed.lock().expect("sweep failure slot");
+                    match &*failed {
+                        Some((first, _)) if *first <= index => {}
+                        _ => *failed = Some((index, payload)),
                     }
-                    let cfg = SimConfig {
-                        seed: sweep_seed(index),
-                        ..base
-                    };
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(cfg))) {
-                        bound.fetch_min(index, Ordering::Relaxed);
-                        let mut failed = failed.lock().expect("sweep failure slot");
-                        match &*failed {
-                            Some((first, _)) if *first <= index => {}
-                            _ => *failed = Some((index, payload)),
-                        }
-                    }
-                })
-                .expect("spawn sweep lane");
+                }
+            });
         }
     });
     if let Some((index, payload)) = failed.into_inner().expect("sweep failure slot") {
