@@ -43,6 +43,10 @@
 //!   ([`run_simulated`], [`run_figure`]).
 //! * [`linearize`] — history recording and linearizability checking.
 //!
+//! [`sim`] and [`harness`] exist on x86-64 Linux only: the simulator's
+//! fiber engine switches stacks with x86-64 code. Everything else,
+//! including every queue, builds on any target.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -65,10 +69,12 @@ pub mod guide;
 pub use msq_arena as arena;
 pub use msq_baselines as baselines;
 pub use msq_core as core;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use msq_harness as harness;
 pub use msq_hazard as hazard;
 pub use msq_linearize as linearize;
 pub use msq_platform as platform;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use msq_sim as sim;
 pub use msq_sync as sync;
 
@@ -82,6 +88,7 @@ pub use msq_core::{
     SegQueue, SegStats, ShardedQueue, TwoLockQueue, WordMsQueue, WordSegQueue, WordShardedQueue,
     WordTwoLockQueue, DEFAULT_SHARDS,
 };
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use msq_harness::{
     percentile_ns, run_figure, run_native, run_native_batched, run_scenario_native,
     run_scenario_simulated, run_simulated, run_simulated_batched, run_simulated_faulted,
@@ -94,6 +101,7 @@ pub use msq_platform::{
     AtomicWord, Backoff, BackoffConfig, BatchFull, ConcurrentStack, ConcurrentWordQueue,
     NativePlatform, Platform, QueueFull, Tagged,
 };
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use msq_sim::{
     schedule_sweep, BlockedKind, FaultAction, FaultPlan, FaultSpec, FaultTrigger, RecoveryPolicy,
     RecoveryReport, RepairReport, SimConfig, SimPlatform, SimReport, Simulation,
