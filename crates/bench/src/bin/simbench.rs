@@ -10,24 +10,28 @@
 //!    are independent, so the default lanes must be no slower than one
 //!    lane, within the host-time bound of 1.25× the serial time.
 //! 2. **High-scale sweep completion**: a 32-seed sweep at 64 simulated
-//!    processors runs to completion — the raised processor ceiling
-//!    exercised end to end, with the per-sweep wall-clock printed.
+//!    processors, where every seed's run must complete all its pairs and
+//!    drain the queue, with the per-sweep wall-clock printed.
 //! 3. **Full-scale Figure 3**: one new-nonblocking run at 8 processors ×
 //!    1 process with the paper's full 10^6 pairs (the `figures` bin's
 //!    quantum scaling), recording its wall seconds, simulated ops per
 //!    wall-second and virtual ns per pair.
 //! 4. **Throughput by machine size**: simulated ops per wall-second of
-//!    one Figure 3 run each at 4, 64 and 128 processors.
+//!    one Figure 3 run each at 4, 64, 128 and 256 processors (the
+//!    simulator's ceiling), plus one multiprogrammed run in the Figure 5
+//!    shape — new-two-lock at 64 processors × 3 processes — where the
+//!    scheduler rotates run queues and preempts.
 //!
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! simbench`. Writes `BENCH_sim.json` in the current directory. Pass
 //! `--smoke` for a scaled-down CI sanity run (same cells, same shape).
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use msq_harness::{
-    run_scenario_simulated, run_simulated, Algorithm, PairedScenario, WorkloadConfig,
+    run_scenario_simulated, run_simulated, Algorithm, FaultedPoint, PairedScenario, WorkloadConfig,
 };
 use msq_sim::{default_lanes, schedule_sweep_with, FaultPlan, SimConfig};
 
@@ -54,7 +58,12 @@ const SMOKE_FULL_SCALE_PAIRS: u64 = 20_000;
 /// Pairs per run of the throughput-by-machine-size cell.
 const SCALING_PAIRS: u64 = 20_000;
 const SMOKE_SCALING_PAIRS: u64 = 2_000;
-const SCALING_PROCESSORS: [usize; 3] = [4, 64, 128];
+const SCALING_PROCESSORS: [usize; 4] = [4, 64, 128, 256];
+
+/// Pairs in the multiprogrammed Figure 5-shape run, the shape of
+/// msqbench's `sim-fig5-64p` workload.
+const FIG5_PAIRS: u64 = 10_000;
+const SMOKE_FIG5_PAIRS: u64 = 1_000;
 
 /// How much slower than one lane the default lane count may run before
 /// the dispatch counts as a regression: the host-time bound the
@@ -81,9 +90,11 @@ fn timed_sweep(lanes: usize, seeds: u64, workload: &WorkloadConfig) -> f64 {
     secs
 }
 
-/// One timed Figure 3 run (new-nonblocking, one process per processor).
-struct Fig3Run {
+/// One timed run of the Section 4 workload: a point of Figures 3–5.
+struct FigureRun {
+    algorithm: Algorithm,
     processors: usize,
+    processes_per_processor: usize,
     pairs: u64,
     wall_secs: f64,
     total_ops: u64,
@@ -92,16 +103,19 @@ struct Fig3Run {
     completed: bool,
 }
 
-impl Fig3Run {
+impl FigureRun {
     fn ops_per_sec(&self) -> f64 {
         self.total_ops as f64 / self.wall_secs
     }
 
     fn json(&self) -> String {
         format!(
-            "{{\"processors\": {}, \"pairs\": {}, \"wall_secs\": {:.4}, \"total_ops\": {}, \
-             \"ops_per_wall_sec\": {:.0}, \"virtual_ns_per_pair\": {:.2}, \"completed\": {}}}",
+            "{{\"algorithm\": \"{}\", \"processors\": {}, \"processes_per_processor\": {}, \
+             \"pairs\": {}, \"wall_secs\": {:.4}, \"total_ops\": {}, \"ops_per_wall_sec\": {:.0}, \
+             \"virtual_ns_per_pair\": {:.2}, \"completed\": {}}}",
+            self.algorithm.label(),
             self.processors,
+            self.processes_per_processor,
             self.pairs,
             self.wall_secs,
             self.total_ops,
@@ -112,13 +126,28 @@ impl Fig3Run {
     }
 }
 
-/// Runs the Figure 3 workload at `processors` x 1 on the machine the
-/// `figures` bin builds for `pairs` pairs: the paper's 10 ms quantum
-/// scaled by pairs / 10^6, and a context switch of 1/400 of it.
-fn fig3_run(processors: usize, pairs: u64) -> Fig3Run {
+/// Every one of `pairs` pairs completed, nobody was killed or blocked, and
+/// the queue drained empty.
+fn completed_all(point: &FaultedPoint, pairs: u64) -> bool {
+    point.pairs_completed == pairs
+        && point.drained == Some(0)
+        && point.killed.is_empty()
+        && point.blocked.is_empty()
+}
+
+/// Runs `algorithm` at `processors` x `processes_per_processor` on the
+/// machine the `figures` bin builds for `pairs` pairs: the paper's 10 ms
+/// quantum scaled by pairs / 10^6, and a context switch of 1/400 of it.
+fn figure_run(
+    algorithm: Algorithm,
+    processors: usize,
+    processes_per_processor: usize,
+    pairs: u64,
+) -> FigureRun {
     let quantum_ns = (10_000_000 * pairs / 1_000_000).max(20_000);
     let cfg = SimConfig {
         processors,
+        processes_per_processor,
         quantum_ns,
         ctx_switch_ns: (quantum_ns / 400).max(200),
         ..SimConfig::default()
@@ -129,26 +158,26 @@ fn fig3_run(processors: usize, pairs: u64) -> Fig3Run {
     };
     let start = Instant::now();
     let out = run_scenario_simulated(
-        Algorithm::NewNonBlocking,
+        algorithm,
         cfg,
         PairedScenario { workload },
         FaultPlan::new(),
     );
     let wall_secs = start.elapsed().as_secs_f64();
-    let point = &out.point;
-    let run = Fig3Run {
+    let run = FigureRun {
+        algorithm,
         processors,
+        processes_per_processor,
         pairs,
         wall_secs,
         total_ops: out.sim_report.as_ref().map_or(0, |r| r.total_ops),
-        virtual_ns_per_pair: point.point.net_ns as f64 / pairs as f64,
-        completed: point.pairs_completed == pairs
-            && point.drained == Some(0)
-            && point.killed.is_empty()
-            && point.blocked.is_empty(),
+        virtual_ns_per_pair: out.point.point.net_ns as f64 / pairs as f64,
+        completed: completed_all(&out.point, pairs),
     };
     eprintln!(
-        "figure 3 at {processors}p, {pairs} pairs: {wall_secs:.3}s wall-clock, {:.0} simulated ops/s",
+        "{} at {processors}p x {processes_per_processor}, {pairs} pairs: {wall_secs:.3}s wall-clock, \
+         {:.0} simulated ops/s",
+        algorithm.label(),
         run.ops_per_sec()
     );
     run
@@ -171,10 +200,14 @@ fn main() {
             HIGH_SCALE_PAIRS_PER_PROC,
         )
     };
-    let (full_scale_pairs, scaling_pairs) = if smoke {
-        (SMOKE_FULL_SCALE_PAIRS, SMOKE_SCALING_PAIRS)
+    let (full_scale_pairs, scaling_pairs, fig5_pairs) = if smoke {
+        (
+            SMOKE_FULL_SCALE_PAIRS,
+            SMOKE_SCALING_PAIRS,
+            SMOKE_FIG5_PAIRS,
+        )
     } else {
-        (FULL_SCALE_PAIRS, SCALING_PAIRS)
+        (FULL_SCALE_PAIRS, SCALING_PAIRS, FIG5_PAIRS)
     };
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("host cores: {host_cores}");
@@ -199,6 +232,7 @@ fn main() {
         capacity: 8_192,
         mem_budget: None,
     };
+    let high_completed = AtomicU64::new(0);
     let start = Instant::now();
     schedule_sweep_with(
         SimConfig {
@@ -208,26 +242,39 @@ fn main() {
         high_seeds,
         4,
         |cfg| {
-            run_simulated(Algorithm::NewNonBlocking, cfg, &high_workload);
+            let out = run_scenario_simulated(
+                Algorithm::NewNonBlocking,
+                cfg,
+                PairedScenario {
+                    workload: high_workload,
+                },
+                FaultPlan::new(),
+            );
+            if completed_all(&out.point, high_workload.pairs_total) {
+                high_completed.fetch_add(1, Ordering::Relaxed);
+            }
         },
     );
     let high_scale_secs = start.elapsed().as_secs_f64();
+    let high_scale_completed = high_completed.into_inner() == high_seeds;
     eprintln!("high-scale sweep ({high_seeds} seeds x 64p): {high_scale_secs:.3}s wall-clock");
 
     // --- Cell 3: Figure 3 at the paper's full scale. ---
-    let full_scale = fig3_run(8, full_scale_pairs);
+    let full_scale = figure_run(Algorithm::NewNonBlocking, 8, 1, full_scale_pairs);
 
     // --- Cell 4: simulated ops per wall-second by machine size. ---
-    let scaling: Vec<Fig3Run> = SCALING_PROCESSORS
+    let mut scaling: Vec<FigureRun> = SCALING_PROCESSORS
         .iter()
-        .map(|&p| fig3_run(p, scaling_pairs))
+        .map(|&p| figure_run(Algorithm::NewNonBlocking, p, 1, scaling_pairs))
         .collect();
+    scaling.push(figure_run(Algorithm::NewTwoLock, 64, 3, fig5_pairs));
 
     // --- Acceptance. ---
     let sweep_lanes_no_slower = default_secs <= LANES_SLOWDOWN_BOUND * serial_secs;
     let full_scale_fig3_completed = full_scale.completed;
     eprintln!(
-        "acceptance: sweep_lanes_no_slower={sweep_lanes_no_slower} high_scale_completed=true \
+        "acceptance: sweep_lanes_no_slower={sweep_lanes_no_slower} \
+         high_scale_completed={high_scale_completed} \
          full_scale_fig3_completed={full_scale_fig3_completed}"
     );
 
@@ -235,7 +282,7 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"description\": \"simulator wall-clock: 16-seed sweep at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors, Figure 3 (new-nonblocking, 8p x 1) at the paper's 10^6 pairs, and simulated ops per wall-second at 4/64/128 processors\","
+        "  \"description\": \"simulator wall-clock: 16-seed sweep at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors, Figure 3 (new-nonblocking, 8p x 1) at the paper's 10^6 pairs, and simulated ops per wall-second at 4/64/128/256 processors x 1 (new-nonblocking) and 64 processors x 3 (new-two-lock, the Figure 5 shape)\","
     );
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
@@ -253,10 +300,10 @@ fn main() {
     json.push_str("  },\n");
     let _ = writeln!(
         json,
-        "  \"high_scale_sweep\": {{\"seeds\": {high_seeds}, \"processors\": 64, \"wall_secs\": {high_scale_secs:.4}, \"completed\": true}},"
+        "  \"high_scale_sweep\": {{\"seeds\": {high_seeds}, \"processors\": 64, \"wall_secs\": {high_scale_secs:.4}, \"completed\": {high_scale_completed}}},"
     );
     let _ = writeln!(json, "  \"full_scale_fig3\": {},", full_scale.json());
-    let scaling_json: Vec<String> = scaling.iter().map(Fig3Run::json).collect();
+    let scaling_json: Vec<String> = scaling.iter().map(FigureRun::json).collect();
     let _ = writeln!(
         json,
         "  \"throughput_by_processors\": [\n    {}\n  ],",
@@ -264,7 +311,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"acceptance\": {{\"sweep_lanes_no_slower\": {sweep_lanes_no_slower}, \"high_scale_completed\": true, \
+        "  \"acceptance\": {{\"sweep_lanes_no_slower\": {sweep_lanes_no_slower}, \"high_scale_completed\": {high_scale_completed}, \
          \"full_scale_fig3_completed\": {full_scale_fig3_completed}}}"
     );
     json.push_str("}\n");

@@ -115,6 +115,66 @@ impl Processor {
     }
 }
 
+/// Width of the processor index in a [`PickTree`] rank: the simulator has
+/// at most 256 processors (see [`SimConfig::validate`]).
+const CPU_BITS: u32 = 8;
+
+/// Rank bit of a processor whose run queue is empty: above every ready
+/// time, a stall saturated at `u64::MAX` included, so it ranks last.
+const IDLE: u128 = 1 << (64 + CPU_BITS);
+
+/// Winner (tournament) tree over the processors. A processor's rank packs
+/// `(ready_ns, cpu)` into one integer, the ready time above the index and
+/// [`IDLE`] above both, so `min` orders by ready time and breaks ties by
+/// the lowest index.
+///
+/// `ranks` is a complete binary tree of fixed shape with `leaves =
+/// next_pow2(processors)` leaves: node 1 is the root, node `n` has the
+/// children `2n` and `2n + 1`, and leaf `cpu` is node `leaves + cpu`
+/// (the padding leaves past the last processor rank [`IDLE`]). Every node
+/// holds the least rank in its subtree, so changing one leaf replays only
+/// the ≤ log2(leaves) matches on its path to the root.
+struct PickTree {
+    ranks: Vec<u128>,
+}
+
+impl PickTree {
+    /// A tree over `processors` processors, every one ranked [`IDLE`].
+    fn new(processors: usize) -> Self {
+        let leaves = processors.next_power_of_two();
+        let mut ranks = vec![IDLE; 2 * leaves];
+        for cpu in 0..leaves {
+            ranks[leaves + cpu] |= cpu as u128;
+        }
+        for node in (1..leaves).rev() {
+            ranks[node] = ranks[2 * node].min(ranks[2 * node + 1]);
+        }
+        PickTree { ranks }
+    }
+
+    /// Ranks `cpu` by `ready_ns` (`None` for an empty run queue) and
+    /// replays the matches on its path to the root.
+    fn update(&mut self, cpu: usize, ready_ns: Option<u64>) {
+        let mut node = self.ranks.len() / 2 + cpu;
+        let mut rank = ready_ns.map_or(IDLE, |ready| u128::from(ready) << CPU_BITS) | cpu as u128;
+        self.ranks[node] = rank;
+        while node > 1 {
+            // The parent's subtree least: this side's, or the sibling's.
+            rank = rank.min(self.ranks[node ^ 1]);
+            node /= 2;
+            self.ranks[node] = rank;
+        }
+    }
+
+    /// The winning processor and its ready time, or `None` once every run
+    /// queue is empty.
+    fn min(&self) -> Option<(usize, u64)> {
+        let root = self.ranks[1];
+        let cpu = (root & ((1 << CPU_BITS) - 1)) as usize;
+        (root < IDLE).then_some((cpu, (root >> CPU_BITS) as u64))
+    }
+}
+
 pub(crate) struct Process {
     pub(crate) cpu: usize,
     pub(crate) finished: bool,
@@ -137,8 +197,12 @@ pub(crate) struct Process {
 pub(crate) struct Core {
     pub(crate) cfg: SimConfig,
     pub(crate) cells: Vec<CellState>,
-    pub(crate) processors: Vec<Processor>,
-    pub(crate) processes: Vec<Process>,
+    /// Private with `processes` and `pick`: every change to a clock, a
+    /// run queue or a stall goes through a method that re-ranks the
+    /// processor ([`Core::refresh`]).
+    processors: Vec<Processor>,
+    processes: Vec<Process>,
+    pick: PickTree,
     /// The process holding the execution token, or [`NOBODY`].
     pub(crate) running: usize,
     pub(crate) live: usize,
@@ -215,9 +279,10 @@ impl Core {
                 }
             })
             .collect();
-        Core {
+        let mut core = Core {
             cfg,
             cells: Vec::new(),
+            pick: PickTree::new(processors.len()),
             processors,
             processes,
             running: NOBODY,
@@ -233,7 +298,11 @@ impl Core {
             recoveries: Vec::new(),
             repairs: Vec::new(),
             latencies: Vec::new(),
+        };
+        for cpu in 0..core.processors.len() {
+            core.refresh(cpu);
         }
+        core
     }
 
     /// Returns the death-notice cell, allocating it on first use (lazily,
@@ -422,75 +491,100 @@ impl Core {
         if processor.run_queue.len() > 1 {
             processor.quantum_left_ns = processor.quantum_left_ns.saturating_sub(cost);
             if processor.quantum_left_ns == 0 {
-                let front = processor.run_queue.pop_front().expect("non-empty");
-                debug_assert_eq!(front, pid);
-                processor.run_queue.push_back(front);
-                processor.clock_ns += self.cfg.ctx_switch_ns;
-                processor.quantum_left_ns = processor.next_quantum(self.cfg.quantum_ns);
-                processor.preemptions += 1;
+                debug_assert_eq!(processor.run_queue.front(), Some(&pid));
+                self.switch_context(cpu);
             }
         }
+        self.refresh(cpu);
+    }
+
+    /// Stalls `pid` (a [`FaultAction::Stall`]): it may not run until its
+    /// processor's clock has advanced `duration_ns`, saturating at
+    /// `u64::MAX`.
+    pub(crate) fn stall(&mut self, pid: usize, duration_ns: u64) {
+        self.stalls_injected += 1;
+        let cpu = self.processes[pid].cpu;
+        self.processes[pid].blocked_until_ns =
+            self.processors[cpu].clock_ns.saturating_add(duration_ns);
+        self.refresh(cpu);
+    }
+
+    /// Preempts `pid` (a [`FaultAction::Preempt`]): an early quantum
+    /// expiry, charged even when `pid` has its processor to itself.
+    pub(crate) fn preempt(&mut self, pid: usize) {
+        self.preempts_injected += 1;
+        let cpu = self.processes[pid].cpu;
+        debug_assert_eq!(self.processors[cpu].run_queue.front(), Some(&pid));
+        self.switch_context(cpu);
+        self.refresh(cpu);
+    }
+
+    /// Ends the quantum of `cpu`'s front process: it moves behind its
+    /// queue-mates, and the processor pays a context switch and draws a
+    /// fresh quantum.
+    fn switch_context(&mut self, cpu: usize) {
+        let base = self.cfg.quantum_ns;
+        let processor = &mut self.processors[cpu];
+        processor.run_queue.rotate_left(1);
+        processor.clock_ns += self.cfg.ctx_switch_ns;
+        processor.quantum_left_ns = processor.next_quantum(base);
+        processor.preemptions += 1;
+    }
+
+    /// Re-ranks `cpu` after a change to its clock, its run queue or a
+    /// queued process's stall. First a stalled front moves behind its
+    /// queue-mates, up to the first runnable one (a stalled process does
+    /// not hold its processor); if none is runnable the queue stays as it
+    /// is. Then `cpu` is ranked by the time its front can run:
+    /// `max(clock, front's stall end)`. Every such change touches only the
+    /// token holder's processor and a pick follows it, so rotating here,
+    /// one processor at a time, gives the rotations a pass over every
+    /// processor at every pick would.
+    fn refresh(&mut self, cpu: usize) {
+        let processor = &mut self.processors[cpu];
+        let clock = processor.clock_ns;
+        let processes = &self.processes;
+        let stall_end = |p: &usize| processes[*p].blocked_until_ns;
+        let mut ready_ns = processor
+            .run_queue
+            .front()
+            .map(|front| clock.max(stall_end(front)));
+        if ready_ns > Some(clock) {
+            // A stalled front: the first runnable queue-mate takes its place.
+            if let Some(first) = processor
+                .run_queue
+                .iter()
+                .position(|p| stall_end(p) <= clock)
+            {
+                processor.run_queue.rotate_left(first);
+                ready_ns = Some(clock);
+            }
+        }
+        self.pick.update(cpu, ready_ns);
     }
 
     /// Picks the next process to hold the token: the front of the run queue
     /// of the processor whose front becomes runnable earliest (ties broken
     /// by processor index). Returns [`NOBODY`] when everything has finished.
     ///
-    /// A process stalled by a fault has `blocked_until_ns` in the future:
-    /// it is rotated behind runnable queue-mates (a stalled process does
-    /// not hold its processor), and if *every* candidate is stalled the
-    /// chosen processor idles — its clock jumps to the stall's end. With
-    /// no faults every `blocked_until_ns` is zero and this reduces exactly
-    /// to the historical least-advanced-clock rule.
+    /// O(1): the pick tree's root is that processor, because every change
+    /// to a clock, a run queue or a stall re-ranked its processor
+    /// ([`Core::refresh`]) as it happened. A process stalled by a fault has
+    /// `blocked_until_ns` in the future and was rotated behind runnable
+    /// queue-mates; if *every* process on the chosen processor is stalled,
+    /// the processor idles — its clock jumps to the stall's end, which
+    /// leaves its rank unchanged. With no faults every `blocked_until_ns` is
+    /// zero and this is exactly the least-advanced-clock rule.
     pub(crate) fn pick_next(&mut self) -> usize {
-        for cpu in 0..self.processors.len() {
-            let clock = self.processors[cpu].clock_ns;
-            let queue_len = self.processors[cpu].run_queue.len();
-            if queue_len < 2 {
-                continue;
-            }
-            let any_runnable = self.processors[cpu]
-                .run_queue
-                .iter()
-                .any(|&p| self.processes[p].blocked_until_ns <= clock);
-            if !any_runnable {
-                continue;
-            }
-            for _ in 0..queue_len {
-                let front = *self.processors[cpu].run_queue.front().expect("non-empty");
-                if self.processes[front].blocked_until_ns <= clock {
-                    break;
-                }
-                let f = self.processors[cpu]
-                    .run_queue
-                    .pop_front()
-                    .expect("non-empty");
-                self.processors[cpu].run_queue.push_back(f);
-            }
-        }
-        let mut best: Option<(u64, usize)> = None;
-        for (idx, processor) in self.processors.iter().enumerate() {
-            let Some(&front) = processor.run_queue.front() else {
-                continue;
-            };
-            let ready = processor
-                .clock_ns
-                .max(self.processes[front].blocked_until_ns);
-            match best {
-                Some((best_ready, _)) if best_ready <= ready => {}
-                _ => best = Some((ready, idx)),
-            }
-        }
-        match best {
-            Some((ready, cpu)) => {
-                // Idle the processor through the remainder of the stall.
-                if self.processors[cpu].clock_ns < ready {
-                    self.processors[cpu].clock_ns = ready;
-                }
-                *self.processors[cpu].run_queue.front().expect("non-empty")
-            }
-            None => NOBODY,
-        }
+        let Some((cpu, ready)) = self.pick.min() else {
+            return NOBODY;
+        };
+        let processor = &mut self.processors[cpu];
+        processor.clock_ns = processor.clock_ns.max(ready);
+        *processor
+            .run_queue
+            .front()
+            .expect("a ranked processor has a process queued")
     }
 
     /// Records `pid` as watchdog-retired, classifying the failure mode:
@@ -516,6 +610,7 @@ impl Core {
         let base = self.cfg.quantum_ns;
         self.processors[cpu].quantum_left_ns = self.processors[cpu].next_quantum(base);
         self.live -= 1;
+        self.refresh(cpu);
     }
 
     /// Applies `op` with no cost, no cache effects, and no stats — the
@@ -833,26 +928,11 @@ impl SimShared {
                 self.kill_locked(core, pid)
             }
             FaultAction::Stall { duration_ns } => {
-                core.stalls_injected += 1;
-                let cpu = core.processes[pid].cpu;
-                let until = core.processors[cpu].clock_ns.saturating_add(duration_ns);
-                core.processes[pid].blocked_until_ns = until;
+                core.stall(pid, duration_ns);
                 self.yield_token(core, pid)
             }
             FaultAction::Preempt => {
-                core.preempts_injected += 1;
-                let cpu = core.processes[pid].cpu;
-                let ctx = core.cfg.ctx_switch_ns;
-                let base = core.cfg.quantum_ns;
-                let processor = &mut core.processors[cpu];
-                processor.preemptions += 1;
-                if processor.run_queue.len() > 1 {
-                    let front = processor.run_queue.pop_front().expect("non-empty");
-                    debug_assert_eq!(front, pid);
-                    processor.run_queue.push_back(front);
-                }
-                processor.clock_ns += ctx;
-                processor.quantum_left_ns = processor.next_quantum(base);
+                core.preempt(pid);
                 self.yield_token(core, pid)
             }
         }
@@ -1089,5 +1169,120 @@ mod tests {
         assert_eq!(core.processes[2].cpu, 2);
         assert_eq!(core.processes[3].cpu, 0);
         assert_eq!(core.processors[0].run_queue.len(), 2);
+    }
+
+    /// The two-pass rule the pick tree replaced, kept as the reference:
+    /// the least `(max(clock, front's stall end), cpu)` over the processors
+    /// with a process queued, or [`NOBODY`].
+    fn reference_pick(core: &Core) -> usize {
+        let mut best: Option<(u64, usize)> = None;
+        for (cpu, processor) in core.processors.iter().enumerate() {
+            let Some(&front) = processor.run_queue.front() else {
+                continue;
+            };
+            let ready = processor
+                .clock_ns
+                .max(core.processes[front].blocked_until_ns);
+            if best.is_none_or(|(best_ready, _)| ready < best_ready) {
+                best = Some((ready, cpu));
+            }
+        }
+        best.map_or(NOBODY, |(_, cpu)| core.processors[cpu].run_queue[0])
+    }
+
+    /// The reference's first pass left no processor with a stalled front
+    /// while a queue-mate is runnable. Checked on every processor, so a
+    /// change that skips [`Core::refresh`] fails here.
+    fn assert_no_stalled_front_ahead_of_a_runnable_mate(core: &Core) {
+        for (cpu, processor) in core.processors.iter().enumerate() {
+            let runnable = |p: &usize| core.processes[*p].blocked_until_ns <= processor.clock_ns;
+            if processor.run_queue.iter().any(runnable) {
+                assert!(
+                    runnable(&processor.run_queue[0]),
+                    "cpu {cpu}: stalled front ahead of a runnable queue-mate"
+                );
+            }
+        }
+    }
+
+    /// Drives a `Core` with random charges (crossing quantum expiries),
+    /// stalls, preempts and retirements until every process has retired,
+    /// checking the pick tree against the reference before every pick.
+    /// Returns how many processes were retired on a processor idled to
+    /// `u64::MAX` by a saturated stall.
+    fn drive_scheduler(processors: usize, processes_per_processor: usize, seed: u64) -> u64 {
+        let cfg = SimConfig {
+            processors,
+            processes_per_processor,
+            quantum_ns: 2_000,
+            ctx_switch_ns: 100,
+            seed,
+            ..SimConfig::default()
+        };
+        let mut core = Core::new(cfg, 0);
+        let mut rng = seed;
+        let mut draw = |bound: u64| {
+            rng = splitmix64(rng);
+            rng % bound
+        };
+        // Scheduler entries each process makes before it finishes.
+        let mut entries_left: Vec<u64> = (0..cfg.num_processes()).map(|_| draw(12)).collect();
+        let mut retired_at_end_of_time = 0;
+        loop {
+            assert_no_stalled_front_ahead_of_a_runnable_mate(&core);
+            let expected = reference_pick(&core);
+            let pid = core.pick_next();
+            assert_eq!(
+                pid, expected,
+                "{processors}x{processes_per_processor}, seed {seed}"
+            );
+            if pid == NOBODY {
+                break;
+            }
+            if core.clock_of(pid) == u64::MAX {
+                // Retire it as the watchdog would: a charge would overflow.
+                retired_at_end_of_time += 1;
+                core.remove_process(pid);
+            } else if entries_left[pid] == 0 {
+                core.remove_process(pid);
+            } else {
+                entries_left[pid] -= 1;
+                match draw(16) {
+                    0 if draw(4) == 0 => core.stall(pid, u64::MAX),
+                    0 => core.stall(pid, draw(6_000)),
+                    1 => core.preempt(pid),
+                    _ => core.charge(pid, 1 + draw(3_000)),
+                }
+            }
+        }
+        assert_eq!(core.live, 0);
+        retired_at_end_of_time
+    }
+
+    /// Runs [`drive_scheduler`] over `seeds` seeds at each processor count,
+    /// dedicated and three processes per processor, and checks that some
+    /// stall saturated at `u64::MAX` at every shape.
+    fn sweep_scheduler(processor_counts: &[usize], seeds: u64) {
+        for &processors in processor_counts {
+            for processes_per_processor in [1, 3] {
+                let saturated: u64 = (0..seeds)
+                    .map(|seed| drive_scheduler(processors, processes_per_processor, seed))
+                    .sum();
+                assert!(
+                    saturated > 0,
+                    "{processors}x{processes_per_processor}: no stall saturated at u64::MAX"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pick_tree_matches_the_two_pass_rule_under_random_scheduling() {
+        sweep_scheduler(&[1, 2, 3, 64], 24);
+    }
+
+    #[test]
+    fn pick_tree_matches_the_two_pass_rule_at_the_256_processor_ceiling() {
+        sweep_scheduler(&[256], 8);
     }
 }

@@ -3,9 +3,26 @@
 //! frees (the latter would crash; the former is counted).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ms_queues::{EpochMsQueue, LockFreeStack, MsQueue, SegConfig, SegQueue, TwoLockQueue};
+
+/// Held by every test here that builds a heap `MsQueue`, `SegQueue` or
+/// `LockFreeStack`, which all retire into and scan the process-global
+/// hazard domain. Tests run on parallel threads, and a scan by one adopts
+/// the others' orphaned retirements, so without the lock an exact
+/// residency assertion after `GLOBAL_DOMAIN.eager_scan()` could find
+/// another test's scan holding this test's segments, or recycling them
+/// into a pool after this test shrank it.
+static GLOBAL_DOMAIN_TESTS: Mutex<()> = Mutex::new(());
+
+/// Locks [`GLOBAL_DOMAIN_TESTS`]. Poison-tolerant: a test that fails while
+/// holding the lock must not fail the ones after it.
+fn serialize_global_domain_tests() -> MutexGuard<'static, ()> {
+    GLOBAL_DOMAIN_TESTS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Tracked {
     drops: Arc<AtomicU64>,
@@ -85,6 +102,7 @@ where
 
 #[test]
 fn ms_queue_drops_every_value_exactly_once() {
+    let _serial = serialize_global_domain_tests();
     run_queue_reclamation(
         Arc::new(MsQueue::new()),
         |q: &MsQueue<Tracked>, v| q.enqueue(v),
@@ -112,6 +130,7 @@ fn two_lock_queue_drops_every_value_exactly_once() {
 
 #[test]
 fn seg_queue_drops_every_value_exactly_once() {
+    let _serial = serialize_global_domain_tests();
     // Small segments so reclamation runs thousands of times, not dozens.
     run_queue_reclamation(
         Arc::new(SegQueue::with_config(SegConfig {
@@ -128,6 +147,7 @@ fn seg_queue_drops_every_value_exactly_once() {
 /// pooled), and the domain eventually frees it.
 #[test]
 fn seg_queue_retires_drained_segments_through_hazard_domain() {
+    let _serial = serialize_global_domain_tests();
     let queue: SegQueue<u64> = SegQueue::with_config(SegConfig {
         seg_size: 4,
         pool_limit: 0,
@@ -153,6 +173,7 @@ fn seg_queue_retires_drained_segments_through_hazard_domain() {
 
 #[test]
 fn lock_free_stack_drops_every_value_exactly_once() {
+    let _serial = serialize_global_domain_tests();
     run_queue_reclamation(
         Arc::new(LockFreeStack::new()),
         |s: &LockFreeStack<Tracked>, v| s.push(v),
@@ -169,6 +190,7 @@ fn lock_free_stack_drops_every_value_exactly_once() {
 /// queue, then zero once the queues are gone.
 #[test]
 fn shared_budget_bounds_residency_across_churning_queues() {
+    let _serial = serialize_global_domain_tests();
     use ms_queues::hazard::GLOBAL_DOMAIN;
     use ms_queues::{MemBudget, NativePlatform};
 
@@ -242,11 +264,14 @@ fn shared_budget_bounds_residency_across_churning_queues() {
     assert!(budget.peak() <= LIMIT, "peak watermark respected the limit");
     assert_eq!(budget.overruns(), 0, "no infallible path overran the limit");
 
-    // Drained process returns to the floor: shrink the pools (reclaimers
-    // registered by `with_config_and_budget`) and flush hazard
-    // retirements — including orphans from the exited workers.
-    budget.reclaim();
+    // Drained process returns to the floor: flush hazard retirements —
+    // including orphans from the exited workers — then shrink the pools
+    // (reclaimers registered by `with_config_and_budget`). The flush goes
+    // first, as in `SegQueue`'s own allocation ladder, because it recycles
+    // a retired segment into its queue's pool, where it stays resident
+    // until a shrink.
     GLOBAL_DOMAIN.eager_scan();
+    budget.reclaim();
     assert_eq!(
         budget.reserved(),
         QUEUES as u64,
@@ -263,6 +288,7 @@ fn shared_budget_bounds_residency_across_churning_queues() {
 /// both the values (exactly once) and the budget units.
 #[test]
 fn queues_created_and_dropped_mid_test_release_their_units() {
+    let _serial = serialize_global_domain_tests();
     use ms_queues::hazard::GLOBAL_DOMAIN;
     use ms_queues::{MemBudget, NativePlatform};
 
@@ -499,6 +525,7 @@ fn repair_discarded_node_returns_to_the_arena_and_budget() {
 
 #[test]
 fn queues_dropped_mid_flight_leak_nothing() {
+    let _serial = serialize_global_domain_tests();
     let drops = Arc::new(AtomicU64::new(0));
     {
         let queue = MsQueue::new();
