@@ -2,11 +2,14 @@
 //! and the token-passing protocol that sequentializes the simulated
 //! processes (fibers on the thread that called `Simulation::run`).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard};
+use std::ptr;
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use crate::config::SimConfig;
 use crate::fault::{FaultAction, FaultPlan, FaultTrigger};
+use crate::fiber::{self, Fiber, Handle};
 
 /// Panic payload used to unwind a process that was killed by the fault
 /// layer. The runner recognizes it and swallows the unwind instead
@@ -472,16 +475,6 @@ impl Core {
         (result, cost)
     }
 
-    /// Reads a cell without charging time (setup / post-run inspection).
-    pub(crate) fn peek(&self, cell: u32) -> u64 {
-        self.cells[cell as usize].value
-    }
-
-    /// Writes a cell without charging time (setup only).
-    pub(crate) fn poke(&mut self, cell: u32, value: u64) {
-        self.cells[cell as usize].value = value;
-    }
-
     /// Advances `pid`'s processor clock by `cost` and performs quantum
     /// accounting (round-robin rotation with context-switch cost).
     pub(crate) fn charge(&mut self, pid: usize, cost: u64) {
@@ -563,6 +556,11 @@ impl Core {
         self.pick.update(cpu, ready_ns);
     }
 
+    /// Seats the next token holder ([`Core::pick_next`]).
+    pub(crate) fn pass_token(&mut self) {
+        self.running = self.pick_next();
+    }
+
     /// Picks the next process to hold the token: the front of the run queue
     /// of the processor whose front becomes runnable earliest (ties broken
     /// by processor index). Returns [`NOBODY`] when everything has finished.
@@ -614,9 +612,9 @@ impl Core {
     }
 
     /// Applies `op` with no cost, no cache effects, and no stats — the
-    /// setup-mode semantics, used for post-mortem accesses from a killed
-    /// process's unwind path (destructors must not deadlock on a token
-    /// that will never come back).
+    /// setup-mode semantics, also used for post-mortem accesses from a
+    /// killed process's unwind path (destructors must not deadlock on a
+    /// token that will never come back).
     pub(crate) fn apply_direct(&mut self, cell: u32, op: MemOp) -> Result<u64, u64> {
         let prev = self.cells[cell as usize].value;
         match op {
@@ -696,17 +694,90 @@ impl Core {
     }
 }
 
+/// What this thread is running: one simulation's core, locked by
+/// [`SimShared::drive`] for the whole run, and which of its processes
+/// executes. Outside a run `sim` is null and `seeds` is the thread's own
+/// jitter-seed counter.
+#[derive(Clone, Copy)]
+struct RunRecord {
+    /// The running simulation: the identity [`SimShared::bound`] compares.
+    sim: *const SimShared,
+    /// Its core, inside the mutex `drive` holds locked.
+    core: *mut Core,
+    /// Its processes' seats, indexed by pid.
+    seats: *const [Seat],
+    /// The process executing on this thread.
+    pid: usize,
+    /// That process's jitter-seed counter.
+    seeds: u64,
+}
+
+/// A process's place in a run, kept by [`SimShared::drive`] for the run's
+/// length (not in [`Core`], so building a simulation allocates nothing
+/// more for it).
+struct Seat {
+    fiber: Handle,
+    /// The jitter seeds the process had drawn when it last gave up the
+    /// thread; while it runs, the run record holds the live count.
+    seeds: Cell<u64>,
+}
+
+thread_local! {
+    static RUN: Cell<RunRecord> = const {
+        Cell::new(RunRecord {
+            sim: ptr::null(),
+            core: ptr::null_mut(),
+            seats: ptr::slice_from_raw_parts(ptr::NonNull::dangling().as_ptr(), 0),
+            pid: NOBODY,
+            seeds: 0,
+        })
+    };
+}
+
+/// Binds this thread's run record to process `pid`, parking the
+/// jitter-seed counter of the process it named before in that process's
+/// seat, and returns `pid`'s fiber. Only inside [`SimShared::drive`].
+fn bind(pid: usize) -> Handle {
+    let record = RUN.get();
+    // SAFETY: the record names a seat table only while `drive` keeps it
+    // alive in its frame, and `drive` never borrows it mutably; outside a
+    // run it names an empty, well-aligned slice.
+    let seats = unsafe { &*record.seats };
+    if let Some(seat) = seats.get(record.pid) {
+        seat.seeds.set(record.seeds);
+    }
+    RUN.set(RunRecord {
+        pid,
+        seeds: seats[pid].seeds.get(),
+        ..record
+    });
+    seats[pid].fiber
+}
+
+/// Puts the outer run record back when [`SimShared::drive`] ends, even by
+/// unwinding, so the record never names a core whose lock was released.
+struct RestoreRecord(RunRecord);
+
+impl Drop for RestoreRecord {
+    fn drop(&mut self) {
+        RUN.set(self.0);
+    }
+}
+
 /// Shared scheduler state: the core under a mutex, plus the fault plan.
 ///
-/// Every simulated process is a fiber on the thread running the
-/// simulation, so the mutex is never contended during a run; it makes the
-/// handle `Sync` for setup and inspection from other threads. A process
-/// that finds another holding the token drops the guard and suspends to
-/// the run loop ([`crate::fiber::suspend`]), which resumes the holder.
+/// The mutex serves setup and inspection, from any thread. During a run
+/// the thread inside [`SimShared::drive`] owns the core: it holds the lock
+/// for the whole run and publishes the core in its run record, so every
+/// per-op method reaches it with one pointer compare
+/// ([`SimShared::bound`]), and a process that finds the token elsewhere
+/// switches straight to the holder's fiber. A call from any other thread
+/// during a run fails `try_lock` and panics with the single-owner rule; it
+/// never races and never blocks.
 pub(crate) struct SimShared {
     core: Mutex<Core>,
     /// The run's fault schedule (immutable; empty by default). Kept outside
-    /// the mutex so `fault_point` can precheck without locking.
+    /// the mutex so `fault_point` can precheck without touching the core.
     plan: FaultPlan,
 }
 
@@ -726,132 +797,188 @@ impl SimShared {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Core> {
-        self.core.lock().expect("sim lock")
+    /// The process executing on this thread, when this thread is running
+    /// this simulation; `None` for setup, inspection, and calls from
+    /// another simulation's processes.
+    pub fn bound(&self) -> Option<usize> {
+        let record = RUN.get();
+        ptr::eq(record.sim, self).then_some(record.pid)
+    }
+
+    /// Runs `f` on the core of this thread's run. Only for a process of
+    /// this simulation (after [`SimShared::bound`]).
+    fn with_core<R>(&self, f: impl FnOnce(&mut Core) -> R) -> R {
+        let record = RUN.get();
+        debug_assert!(ptr::eq(record.sim, self), "core reached outside its run");
+        // SAFETY: `record.core` points into the mutex `drive` keeps locked
+        // until after it takes the record down, so it is valid. The borrow
+        // is the only `&mut Core`: one fiber runs at a time, the run loop
+        // touches the core only while every fiber is parked, and each `f`
+        // calls only `Core` methods, which neither switch fibers nor
+        // re-enter `SimShared`, so no other borrow starts before it ends.
+        unsafe { f(&mut *record.core) }
+    }
+
+    /// The core for setup or inspection. During a run the owning thread
+    /// holds the lock, so a call from anywhere but the run's own processes
+    /// panics here (the single-owner rule) instead of racing or blocking.
+    fn setup(&self) -> MutexGuard<'_, Core> {
+        match self.core.try_lock() {
+            Ok(core) => core,
+            Err(TryLockError::WouldBlock) => panic!(
+                "msq-sim single-owner rule: a running simulation is owned by the thread inside \
+                 `Simulation::run`, and only its own processes may use its cells and platform \
+                 until the run returns"
+            ),
+            Err(TryLockError::Poisoned(_)) => panic!("sim lock poisoned by an earlier panic"),
+        }
+    }
+
+    /// Runs `f` on the core: directly for a process of this simulation,
+    /// under the lock for setup and inspection.
+    fn access<R>(&self, f: impl FnOnce(&mut Core) -> R) -> R {
+        if self.bound().is_some() {
+            self.with_core(f)
+        } else {
+            f(&mut self.setup())
+        }
     }
 
     pub fn config(&self) -> SimConfig {
-        self.lock().cfg
+        self.access(|core| core.cfg)
     }
 
     pub fn alloc_cell(&self, init: u64) -> u32 {
-        self.lock().alloc_cell(init)
+        self.access(|core| core.alloc_cell(init))
     }
 
     /// Returns the death-notice cell (allocating it on first use).
     pub fn death_board(&self) -> u32 {
-        self.lock().death_board()
+        self.access(Core::death_board)
     }
 
-    /// Records, on behalf of `pid`, that the remaining share of killed
-    /// process `victim` has been fully absorbed. Like a fault point, the
-    /// record itself is free: `pid` keeps the token and is charged
-    /// nothing — the *work* of catching up was already charged op by op.
-    pub fn mark_recovered(&self, pid: usize, victim: usize) {
-        let Ok(mut core) = self.wait_for_token(pid) else {
-            return;
+    /// Draws the next jitter-seed counter value (the running process's
+    /// own, or the thread's outside a run) and the pid it belongs to.
+    pub fn next_seed(&self) -> (Option<usize>, u64) {
+        let record = RUN.get();
+        RUN.set(RunRecord {
+            seeds: record.seeds + 1,
+            ..record
+        });
+        (
+            ptr::eq(record.sim, self).then_some(record.pid),
+            record.seeds,
+        )
+    }
+
+    /// Runs `f` for the calling process once it holds the token, and keeps
+    /// the token: a free record (no-op outside a simulated process or on
+    /// an unwind path).
+    fn stamp(&self, f: impl FnOnce(&mut Core, usize)) {
+        if let Some(pid) = self.bound() {
+            if self.wait_for_token(pid) {
+                self.with_core(|core| f(core, pid));
+            }
+        }
+    }
+
+    /// Records, on behalf of the calling process, that the remaining share
+    /// of killed process `victim` has been fully absorbed. Like a fault
+    /// point, the record itself is free: the caller keeps the token and is
+    /// charged nothing — the *work* of catching up was already charged op
+    /// by op.
+    pub fn mark_recovered(&self, victim: usize) {
+        self.stamp(|core, pid| core.note_recovery(victim, pid));
+    }
+
+    /// Records, on behalf of the calling process, that dead process
+    /// `victim`'s lock was revoked and the torn invariant repaired (outcome
+    /// label `point`). Free, exactly like [`SimShared::mark_recovered`]:
+    /// the repair's memory traffic was already charged op by op.
+    pub fn mark_repaired(&self, victim: usize, point: &'static str) {
+        self.stamp(|core, pid| core.note_repair(victim, pid, point));
+    }
+
+    /// Records an enqueue-to-dequeue latency sample on behalf of the
+    /// calling process. Free, exactly like [`SimShared::mark_recovered`]:
+    /// the dequeue that surfaced the item was already charged, and the
+    /// stamp itself is pure observability.
+    pub fn record_latency(&self, arrival_ns: u64) {
+        self.stamp(|core, pid| core.note_latency(pid, arrival_ns));
+    }
+
+    /// Reads the calling process's virtual time (its processor's clock);
+    /// zero outside a simulated process, since setup is untimed. Free and
+    /// token-keeping: a clock read touches no shared memory, so it charges
+    /// nothing and does not pass the token.
+    pub fn now_ns(&self) -> u64 {
+        let Some(pid) = self.bound() else {
+            return 0;
         };
-        core.note_recovery(victim, pid);
+        self.wait_for_token(pid);
+        self.with_core(|core| core.clock_of(pid))
     }
 
-    /// Records, on behalf of `pid`, that dead process `victim`'s lock was
-    /// revoked and the torn invariant repaired (outcome label `point`).
-    /// Free, exactly like [`SimShared::mark_recovered`]: the repair's
-    /// memory traffic was already charged op by op.
-    pub fn mark_repaired(&self, pid: usize, victim: usize, point: &'static str) {
-        let Ok(mut core) = self.wait_for_token(pid) else {
-            return;
-        };
-        core.note_repair(victim, pid, point);
-    }
-
-    /// Records an enqueue-to-dequeue latency sample on behalf of `pid`.
-    /// Free, exactly like [`SimShared::mark_recovered`]: the dequeue that
-    /// surfaced the item was already charged, and the stamp itself is
-    /// pure observability.
-    pub fn record_latency(&self, pid: usize, arrival_ns: u64) {
-        let Ok(mut core) = self.wait_for_token(pid) else {
-            return;
-        };
-        core.note_latency(pid, arrival_ns);
-    }
-
-    /// Reads `pid`'s current virtual time (its processor's clock). Free
-    /// and token-keeping: a clock read touches no shared memory, so it
-    /// charges nothing and does not pass the token.
-    pub fn now_ns(&self, pid: usize) -> u64 {
-        let (Ok(core) | Err(core)) = self.wait_for_token(pid);
-        core.clock_of(pid)
-    }
-
-    /// Direct, cost-free access outside a simulated process (setup before
-    /// `run`, inspection after).
-    pub fn peek(&self, cell: u32) -> u64 {
-        self.lock().peek(cell)
-    }
-
-    pub fn poke(&self, cell: u32, value: u64) {
-        self.lock().poke(cell, value)
-    }
-
-    /// Seats the first token holder.
-    pub fn start(&self) {
-        let mut core = self.lock();
-        core.running = core.pick_next();
-    }
-
-    /// The process the run loop must resume next: the token holder, or
-    /// [`NOBODY`] once every process has retired.
-    pub fn token_holder(&self) -> usize {
-        self.lock().running
-    }
-
-    /// Executes one shared-memory operation on behalf of `pid`, charging
-    /// virtual time and handing the token to the next process.
+    /// Executes one shared-memory operation on behalf of the calling
+    /// process, charging virtual time and handing the token to the next
+    /// process. Outside a simulated process (setup, inspection) it
+    /// applies at once, free of charge.
     ///
     /// May unwind instead of returning when the fault plan (or watchdog)
-    /// kills `pid` at this step.
-    pub fn mem_op(&self, pid: usize, cell: u32, op: MemOp) -> Result<u64, u64> {
-        let core = match self.wait_for_token(pid) {
-            Ok(core) => core,
+    /// kills the caller at this step.
+    pub fn mem_op(&self, cell: u32, op: MemOp) -> Result<u64, u64> {
+        let Some(pid) = self.bound() else {
+            return self.setup().apply_direct(cell, op);
+        };
+        if !self.wait_for_token(pid) {
             // An access from an unwind path: a killed process's or a
             // panicking one's.
-            Err(mut core) => return core.apply_direct(cell, op),
-        };
-        let mut core = self.resolve_step_faults(core, pid);
-        let (result, cost) = core.apply(pid, cell, op);
-        self.charge_and_pass(core, pid, cost);
-        result.value
+            return self.with_core(|core| core.apply_direct(cell, op));
+        }
+        self.resolve_step_faults(pid);
+        self.with_core(|core| {
+            let (result, cost) = core.apply(pid, cell, op);
+            core.charge(pid, cost);
+            core.pass_token();
+            result.value
+        })
     }
 
-    /// Charges `nanos` of pure delay (backoff / "other work") to `pid`.
+    /// Charges `nanos` of pure delay (backoff / "other work") to the
+    /// calling process; free outside one, since setup time is untimed.
     ///
     /// May unwind instead of returning when the fault plan (or watchdog)
-    /// kills `pid` at this step.
-    pub fn delay(&self, pid: usize, nanos: u64) {
-        let Ok(core) = self.wait_for_token(pid) else {
+    /// kills the caller at this step.
+    pub fn delay(&self, nanos: u64) {
+        let Some(pid) = self.bound() else {
             return;
         };
-        let core = self.resolve_step_faults(core, pid);
-        self.charge_and_pass(core, pid, nanos);
-    }
-
-    /// Reports that `pid` reached the fault point `label`; fires any
-    /// matching label-triggered faults. Free when the plan has no label
-    /// faults for `pid` — no lock, no token, no virtual time.
-    pub fn fault_point(&self, pid: usize, label: &'static str) {
-        if !self.plan.watches_labels(pid) {
+        if !self.wait_for_token(pid) {
             return;
         }
-        let Ok(mut core) = self.wait_for_token(pid) else {
+        self.resolve_step_faults(pid);
+        self.with_core(|core| {
+            core.charge(pid, nanos);
+            core.pass_token();
+        });
+    }
+
+    /// Reports that the calling process reached the fault point `label`;
+    /// fires any matching label-triggered faults. Free when the plan has no
+    /// label faults for the caller — no token, no virtual time.
+    pub fn fault_point(&self, label: &'static str) {
+        let Some(pid) = self.bound() else {
             return;
         };
-        let hit = core.next_label_hit(pid, label);
-        while let Some(action) = self.take_fault(&mut core, pid, |t| {
+        if !self.plan.watches_labels(pid) || !self.wait_for_token(pid) {
+            return;
+        }
+        let hit = self.with_core(|core| core.next_label_hit(pid, label));
+        while let Some(action) = self.take_fault(pid, |t| {
             matches!(t, FaultTrigger::Label { label: l, occurrence }
                      if *l == label && *occurrence == hit)
         }) {
-            core = self.apply_fault(core, pid, action);
+            self.apply_fault(pid, action);
         }
         // The fault point itself is free: keep the token, charge nothing.
     }
@@ -859,141 +986,175 @@ impl SimShared {
     /// Retires `pid` from the simulation. No-op for a process the fault
     /// layer already retired (kill / watchdog).
     pub fn finish(&self, pid: usize) {
-        let Ok(mut core) = self.wait_for_token(pid) else {
-            return;
-        };
-        core.remove_process(pid);
-        core.running = core.pick_next();
+        if self.wait_for_token(pid) {
+            self.with_core(|core| {
+                core.remove_process(pid);
+                core.pass_token();
+            });
+        }
     }
 
     /// Watchdog + op-count fault triggers, checked while `pid` holds the
     /// token at the top of a scheduler entry. Never returns if `pid` dies.
-    fn resolve_step_faults<'a>(
-        &'a self,
-        mut core: MutexGuard<'a, Core>,
-        pid: usize,
-    ) -> MutexGuard<'a, Core> {
-        let watchdog = core.cfg.watchdog_ns;
-        if watchdog > 0 {
-            let cpu = core.processes[pid].cpu;
-            if core.processors[cpu].clock_ns >= watchdog {
-                core.note_blocked(pid);
-                self.kill_locked(core, pid);
-            }
+    fn resolve_step_faults(&self, pid: usize) {
+        let expired = self.with_core(|core| {
+            let watchdog = core.cfg.watchdog_ns;
+            watchdog > 0 && core.clock_of(pid) >= watchdog
+        });
+        if expired {
+            self.with_core(|core| core.note_blocked(pid));
+            self.kill(pid);
         }
         if !self.plan.watches(pid) {
-            return core;
+            return;
         }
-        let step = core.processes[pid].steps;
-        core.processes[pid].steps += 1;
-        while let Some(action) = self.take_fault(
-            &mut core,
-            pid,
-            |t| matches!(t, FaultTrigger::Op(n) if *n == step),
-        ) {
-            core = self.apply_fault(core, pid, action);
+        let step = self.with_core(|core| {
+            let process = &mut core.processes[pid];
+            process.steps += 1;
+            process.steps - 1
+        });
+        while let Some(action) =
+            self.take_fault(pid, |t| matches!(t, FaultTrigger::Op(n) if *n == step))
+        {
+            self.apply_fault(pid, action);
         }
-        core
     }
 
     /// Marks the first unfired spec for `pid` whose trigger matches as
     /// fired and returns its action.
     fn take_fault(
         &self,
-        core: &mut Core,
         pid: usize,
         matches: impl Fn(&FaultTrigger) -> bool,
     ) -> Option<FaultAction> {
-        for (i, spec) in self.plan.specs.iter().enumerate() {
-            if spec.pid == pid && !core.fault_fired[i] && matches(&spec.trigger) {
-                core.fault_fired[i] = true;
-                return Some(spec.action);
+        self.with_core(|core| {
+            for (i, spec) in self.plan.specs.iter().enumerate() {
+                if spec.pid == pid && !core.fault_fired[i] && matches(&spec.trigger) {
+                    core.fault_fired[i] = true;
+                    return Some(spec.action);
+                }
             }
-        }
-        None
+            None
+        })
     }
 
     /// Applies a fired fault to `pid` (which holds the token). Kill never
     /// returns; stall and preempt yield the token and re-acquire it.
-    fn apply_fault<'a>(
-        &'a self,
-        mut core: MutexGuard<'a, Core>,
-        pid: usize,
-        action: FaultAction,
-    ) -> MutexGuard<'a, Core> {
+    fn apply_fault(&self, pid: usize, action: FaultAction) {
         match action {
             FaultAction::Kill => {
-                core.killed.push(pid);
-                core.note_death(pid);
-                self.kill_locked(core, pid)
+                self.with_core(|core| {
+                    core.killed.push(pid);
+                    core.note_death(pid);
+                });
+                self.kill(pid)
             }
             FaultAction::Stall { duration_ns } => {
-                core.stall(pid, duration_ns);
-                self.yield_token(core, pid)
+                self.with_core(|core| core.stall(pid, duration_ns));
+                self.yield_token(pid)
             }
             FaultAction::Preempt => {
-                core.preempt(pid);
-                self.yield_token(core, pid)
+                self.with_core(|core| core.preempt(pid));
+                self.yield_token(pid)
             }
         }
     }
 
     /// Gives up the token (if anyone else should run) and waits until the
     /// scheduler hands it back.
-    fn yield_token<'a>(
-        &'a self,
-        mut core: MutexGuard<'a, Core>,
-        pid: usize,
-    ) -> MutexGuard<'a, Core> {
-        core.running = core.pick_next();
-        drop(core);
-        let (Ok(core) | Err(core)) = self.wait_for_token(pid);
-        core
+    fn yield_token(&self, pid: usize) {
+        self.with_core(Core::pass_token);
+        self.wait_for_token(pid);
     }
 
     /// Retires `pid` right now (fault kill or watchdog), hands the token
     /// on, and unwinds the process with the [`ProcessKilled`] sentinel.
     /// The unwind runs to the end before anyone else runs: every access
     /// on the way takes the direct path, because `pid` is now retired.
-    fn kill_locked(&self, mut core: MutexGuard<'_, Core>, pid: usize) -> ! {
-        core.remove_process(pid);
-        core.running = core.pick_next();
-        // Never unwind while holding the core mutex: that would poison the
-        // whole simulation.
-        drop(core);
+    fn kill(&self, pid: usize) -> ! {
+        self.with_core(|core| {
+            core.remove_process(pid);
+            core.pass_token();
+        });
         std::panic::resume_unwind(Box::new(ProcessKilled));
     }
 
-    /// Collects final statistics (after the run).
-    pub fn snapshot(&self) -> crate::report::SimReport {
-        self.lock().snapshot_report()
-    }
-
-    /// Returns the core once `pid` holds the token (`Ok`), suspending to
-    /// the run loop until it does; or at once (`Err`, the direct path)
-    /// when `pid` is on an unwind path. A retired (killed) process will
-    /// never be handed the token again, and a panicking one must not
-    /// switch: another fiber would run inside its unwind.
-    fn wait_for_token(&self, pid: usize) -> Result<MutexGuard<'_, Core>, MutexGuard<'_, Core>> {
+    /// Returns `true` once `pid` holds the token, switching to the holder
+    /// until it does; or `false` at once (the direct path) when `pid` is
+    /// on an unwind path. A retired (killed) process will never be handed
+    /// the token again, and a panicking one must not switch: another
+    /// fiber would run inside its unwind.
+    fn wait_for_token(&self, pid: usize) -> bool {
         loop {
-            let core = self.lock();
-            if core.processes[pid].finished || std::thread::panicking() {
-                return Err(core);
+            let (finished, holder) =
+                self.with_core(|core| (core.processes[pid].finished, core.running));
+            if finished || std::thread::panicking() {
+                return false;
             }
-            if core.running == pid {
-                return Ok(core);
+            if holder == pid {
+                return true;
             }
-            drop(core);
-            crate::fiber::suspend();
+            self.switch_to(holder);
         }
     }
 
-    /// Charges `cost` to `pid` and seats the next token holder. `pid`
-    /// runs on to its next scheduler entry either way; there it suspends
-    /// if it no longer holds the token.
-    fn charge_and_pass(&self, mut core: MutexGuard<'_, Core>, pid: usize, cost: u64) {
-        core.charge(pid, cost);
-        core.running = core.pick_next();
+    /// Hands this thread to the token holder `holder`: binds the run
+    /// record to it and switches straight to its fiber. Returns once a
+    /// process hands the thread back.
+    fn switch_to(&self, holder: usize) {
+        let fiber = bind(holder);
+        // SAFETY: `fiber` belongs to this run, whose fibers outlive it.
+        // `holder` was seated by the scheduler, which never seats a
+        // retired process, so its fiber has not finished; and it is not
+        // running, since the caller's is. No `&mut Core` is live across
+        // the switch: no caller of this holds one, and each fetches the
+        // core afresh after it.
+        unsafe { fiber::switch_to(fiber) };
+    }
+
+    /// Runs the simulation's processes, one fiber per pid, to the end and
+    /// returns the report. The core stays locked for the whole run and is
+    /// published in this thread's run record. This loop seats the first
+    /// token holder and takes control back each time a fiber finishes;
+    /// between those, processes hand the token to each other directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another thread holds the core's lock (setup or
+    /// inspection in progress there).
+    pub fn drive(&self, fibers: &mut [Fiber<'_>]) -> crate::report::SimReport {
+        let mut guard = self.setup();
+        let core: *mut Core = &mut *guard;
+        let seats: Vec<Seat> = fibers
+            .iter()
+            .map(|fiber| Seat {
+                fiber: fiber.handle(),
+                seeds: Cell::new(0),
+            })
+            .collect();
+        let restore = RestoreRecord(RUN.replace(RunRecord {
+            sim: self,
+            core,
+            seats: &raw const *seats,
+            pid: NOBODY,
+            seeds: 0,
+        }));
+        // SAFETY: `core` points into the locked mutex, and no fiber has
+        // started, so this is the only `&mut Core`.
+        unsafe { (*core).pass_token() };
+        loop {
+            // SAFETY: `core` points into the locked mutex. Every fiber is
+            // parked or finished while this loop runs, so no `&mut Core`
+            // is live during this read.
+            let pid = unsafe { (*core).running };
+            if pid == NOBODY {
+                break;
+            }
+            bind(pid);
+            fibers[pid].resume();
+        }
+        drop(restore);
+        guard.snapshot_report()
     }
 }
 
@@ -1047,7 +1208,7 @@ mod tests {
         assert!(r.cas_failed);
         assert_eq!(r.value, Err(5));
         assert!(cost >= core.cfg.t_rmw_ns);
-        assert_eq!(core.peek(cell), 5);
+        assert_eq!(core.cells[cell as usize].value, 5);
     }
 
     #[test]
@@ -1055,16 +1216,16 @@ mod tests {
         let mut core = Core::new(two_cpu_cfg(), 0);
         let cell = core.alloc_cell(10);
         assert_eq!(core.apply(0, cell, MemOp::FetchAdd(5)).0.value, Ok(10));
-        assert_eq!(core.peek(cell), 15);
+        assert_eq!(core.cells[cell as usize].value, 15);
         assert_eq!(core.apply(0, cell, MemOp::Swap(1)).0.value, Ok(15));
-        assert_eq!(core.peek(cell), 1);
+        assert_eq!(core.cells[cell as usize].value, 1);
         assert_eq!(
             core.apply(0, cell, MemOp::CompareExchange { current: 1, new: 2 })
                 .0
                 .value,
             Ok(1)
         );
-        assert_eq!(core.peek(cell), 2);
+        assert_eq!(core.cells[cell as usize].value, 2);
     }
 
     #[test]

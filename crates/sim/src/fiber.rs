@@ -3,8 +3,9 @@
 //! Every simulated process runs on a stack of its own, but all of them
 //! run on the thread that called `run`. Passing the execution token is
 //! then a user-space register switch (tens of ns) instead of an OS thread
-//! handoff (µs): the process that must wait [`suspend`]s back to the run
-//! loop, which [`Fiber::resume`]s whichever process holds the token.
+//! handoff (µs): the run loop [`Fiber::resume`]s the first token holder,
+//! a process that must wait [`switch_to`]s the holder directly, and a
+//! fiber that finishes returns to the run loop.
 //!
 //! Stacks are `mmap`'d, committed lazily by the kernel as they are
 //! touched, sit above a `PROT_NONE` guard page, and are kept in a
@@ -13,6 +14,9 @@
 //! Rules the engine relies on (see `core.rs` and `runner.rs`):
 //! - a fiber that is unwinding never switches, so no other fiber runs in
 //!   the middle of an unwind (the panic count is per thread);
+//! - a fiber switches only to a fiber of the same run loop that is
+//!   suspended or not yet started, and hands it the run loop's saved
+//!   context, so whichever fiber finishes returns to that loop;
 //! - the fiber's Rust entry catches every unwind, so none reaches the
 //!   assembly frame below it;
 //! - a stack returns to the pool only once its fiber's entry has
@@ -124,7 +128,8 @@ impl Drop for Stack {
 struct State {
     /// The fiber's stack pointer while it is suspended.
     sp: *mut u8,
-    /// The resumer's stack pointer while the fiber runs.
+    /// The run loop's stack pointer while the fiber runs: saved by
+    /// [`Fiber::resume`], passed along by [`switch_to`].
     resumer_sp: *mut u8,
     /// The body, until the first resume takes it.
     start: Option<Box<dyn FnOnce()>>,
@@ -135,7 +140,8 @@ struct State {
 }
 
 /// A suspended computation with a stack of its own, run on the current
-/// thread by [`Fiber::resume`] until it calls [`suspend`] or returns.
+/// thread by [`Fiber::resume`] or [`switch_to`] until it switches to
+/// another fiber or returns.
 pub(crate) struct Fiber<'a> {
     /// From `Box::into_raw`; freed by `Drop`.
     state: *mut State,
@@ -176,16 +182,23 @@ impl<'a> Fiber<'a> {
         }
     }
 
-    /// Runs the fiber until it suspends or finishes.
+    /// Runs the fiber, and the fibers it switches to, until one of them
+    /// finishes.
     pub(crate) fn resume(&mut self) {
         assert!(!self.finished(), "resumed a finished fiber");
         let state = self.state;
         let outer = CURRENT.replace(state);
         // SAFETY: `state.sp` is the fiber's saved context: the initial
-        // frame or the point where it last suspended. It switches back
-        // to the context saved in `resumer_sp` before this returns.
+        // frame or the point where it last switched away. The fiber that
+        // finishes switches back to the context saved in `resumer_sp`,
+        // which `switch_to` passes along, before this returns.
         unsafe { switch(&raw mut (*state).resumer_sp, (*state).sp, state as usize) };
         CURRENT.set(outer);
+    }
+
+    /// A handle for [`switch_to`], valid while this fiber is alive.
+    pub(crate) fn handle(&self) -> Handle {
+        Handle(self.state)
     }
 
     /// Whether the fiber's entry has returned.
@@ -224,24 +237,43 @@ impl Drop for Fiber<'_> {
     }
 }
 
-/// Switches from the running fiber back to the run loop that resumed it.
+/// Names a fiber to [`switch_to`] without borrowing the run loop's
+/// `Fiber`.
+#[derive(Clone, Copy)]
+pub(crate) struct Handle(*mut State);
+
+/// Switches from the running fiber straight to `target`, which runs until
+/// it switches on or finishes; this returns once some fiber switches back.
+/// `target` takes over the run loop's saved context, so the run loop gets
+/// control back when `target`, or any fiber after it, finishes.
 ///
-/// # Panics
+/// # Safety
 ///
-/// Panics when called outside a fiber.
-pub(crate) fn suspend() {
-    let state = CURRENT.get();
-    assert!(!state.is_null(), "suspend called outside a fiber");
-    // SAFETY: `state` belongs to the running fiber, whose resumer is
-    // parked in `Fiber::resume` with its context saved in `resumer_sp`.
-    unsafe { switch(&raw mut (*state).sp, (*state).resumer_sp, 0) };
+/// Must be called on a running fiber that a [`Fiber::resume`] started
+/// (directly or down a chain of switches). `target` must name a live
+/// fiber of the same run loop, other than the caller, that is not
+/// finished: one not yet started or parked in `switch_to`.
+pub(crate) unsafe fn switch_to(target: Handle) {
+    let from = CURRENT.replace(target.0);
+    debug_assert!(!from.is_null(), "switch_to called outside a fiber");
+    debug_assert!(from != target.0, "a fiber switched to itself");
+    // SAFETY: `from` is the running fiber and `target` a live, parked
+    // one (the caller's contract), so both states are valid and
+    // `target.sp` is a saved context nobody has resumed since. The run
+    // loop's context moves to `target`, whose finish will return to it.
+    unsafe {
+        debug_assert!(!(*target.0).finished, "switched to a finished fiber");
+        (*target.0).resumer_sp = (*from).resumer_sp;
+        switch(&raw mut (*from).sp, (*target.0).sp, target.0 as usize);
+    }
 }
 
 /// The first frame of every fiber: runs the body, records how it ended,
-/// and switches back for good.
+/// and switches to the run loop for good.
 extern "C" fn fiber_main(state: *mut State) -> ! {
-    // SAFETY: `resume` passed its fiber's live state; it outlives the
-    // fiber's run (the `Fiber` is not dropped while the fiber runs).
+    // SAFETY: `resume` or `switch_to` passed its fiber's live state; it
+    // outlives the fiber's run (the `Fiber` is not dropped while the
+    // fiber runs).
     let start = unsafe { (*state).start.take() };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if let Some(start) = start {
@@ -298,25 +330,44 @@ unsafe extern "C" fn switch(save: *mut *mut u8, load: *mut u8, arg: usize) {
 mod tests {
     use super::*;
 
+    /// Three fibers pass control around a ring with [`switch_to`] for two
+    /// laps, and the last one finishes instead of closing the second lap.
+    /// The run loop resumes only fiber 0, yet gets control back when
+    /// fiber 2, which a switch started, finishes; it then resumes the two
+    /// parked fibers to their ends.
     #[test]
-    fn fibers_interleave_at_suspend_points() {
+    fn fibers_interleave_at_direct_switches() {
         let log = RefCell::new(Vec::new());
+        let handles = std::cell::OnceCell::<Vec<Handle>>::new();
         let mut fibers: Vec<Fiber<'_>> = (0..3)
             .map(|id| {
-                let log = &log;
+                let (log, handles) = (&log, &handles);
                 Fiber::new(Box::new(move || {
                     for step in 0..2 {
                         log.borrow_mut().push((id, step));
-                        suspend();
+                        if (id, step) == (2, 1) {
+                            return;
+                        }
+                        let next =
+                            handles.get().expect("set before the first resume")[(id + 1) % 3];
+                        // SAFETY: `next` is another fiber of this loop, and
+                        // it is parked or not yet started: the one fiber
+                        // that finishes inside the ring, fiber 2, returns
+                        // instead of switching.
+                        unsafe { switch_to(next) };
                     }
                 }))
             })
             .collect();
-        while fibers.iter().any(|f| !f.finished()) {
-            for fiber in fibers.iter_mut().filter(|f| !f.finished()) {
-                fiber.resume();
-            }
-        }
+        assert!(handles
+            .set(fibers.iter().map(Fiber::handle).collect())
+            .is_ok());
+        fibers[0].resume();
+        let finished: Vec<bool> = fibers.iter().map(Fiber::finished).collect();
+        assert_eq!(finished, [false, false, true]);
+        fibers[0].resume();
+        fibers[1].resume();
+        assert!(fibers.iter().all(Fiber::finished));
         drop(fibers);
         let log = log.into_inner();
         assert_eq!(log, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]);

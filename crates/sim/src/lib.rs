@@ -33,8 +33,10 @@
 //! process executes at a time — a token passes to the process chosen by
 //! the virtual-time rule, and handing it over is a user-space register
 //! switch — so the simulation is sequentialized and deterministic
-//! regardless of host parallelism. The fiber engine supports x86-64 Linux
-//! only.
+//! regardless of host parallelism. The calling thread owns the run: until
+//! `run` returns, only the simulation's own processes may use its platform
+//! and cells, and a call from any other thread panics. The fiber engine
+//! supports x86-64 Linux only.
 //!
 //! Seed sweeps ([`schedule_sweep`]) parallelize across *runs* instead:
 //! independent seeds dispatch onto `MSQ_SWEEP_LANES` host threads

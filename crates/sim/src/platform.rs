@@ -1,54 +1,11 @@
 //! [`SimPlatform`] and [`SimCell`]: the `msq_platform::Platform`
 //! implementation that routes every operation through the simulator.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use msq_platform::{AtomicWord, Platform};
 
 use crate::core::{MemOp, SimShared};
-
-thread_local! {
-    /// The simulated process running on this thread, or `usize::MAX`
-    /// outside one (setup/inspection).
-    static CURRENT_PID: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Counter feeding deterministic backoff-jitter seeds: the running
-    /// process's own while one runs, the thread's outside one.
-    static SEED_COUNTER: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Who the platform acts for on this thread (a simulated process, or
-/// nobody outside a run), with that party's jitter-seed counter.
-#[derive(Clone, Copy)]
-pub(crate) struct Binding {
-    pid: usize,
-    seeds: u64,
-}
-
-impl Binding {
-    /// A simulated process that has drawn no jitter seed yet.
-    pub(crate) fn process(pid: usize) -> Binding {
-        Binding { pid, seeds: 0 }
-    }
-}
-
-/// Installs `binding` on this thread and returns the one it replaces. The
-/// run loop binds each process as it resumes it and restores the outer
-/// binding when the process suspends, so every process keeps its own pid
-/// and seed sequence although all of them share the thread.
-pub(crate) fn bind(binding: Binding) -> Binding {
-    Binding {
-        pid: CURRENT_PID.replace(binding.pid),
-        seeds: SEED_COUNTER.replace(binding.seeds),
-    }
-}
-
-fn current_pid() -> Option<usize> {
-    CURRENT_PID.with(|c| {
-        let v = c.get();
-        (v != usize::MAX).then_some(v)
-    })
-}
 
 /// Handle to a simulation's memory and clock, implementing
 /// [`msq_platform::Platform`].
@@ -57,8 +14,13 @@ fn current_pid() -> Option<usize> {
 /// from a simulated process (inside [`crate::Simulation::run`]) every
 /// operation costs virtual time and participates in the deterministic
 /// interleaving; when used outside one (queue construction before the run,
-/// result inspection after it) operations apply directly and cost nothing,
-/// mirroring the paper's untimed initialization.
+/// result inspection after it, or a process of another simulation)
+/// operations apply directly and cost nothing, mirroring the paper's
+/// untimed initialization.
+///
+/// The handle is `Send` and `Sync` for setup and inspection, but while the
+/// simulation runs, only its own processes may use it: the thread inside
+/// `run` owns the machine, and a call from any other thread panics.
 #[derive(Clone)]
 pub struct SimPlatform {
     shared: Arc<SimShared>,
@@ -93,9 +55,7 @@ impl SimPlatform {
     /// catch-up work itself was already charged op by op. No-op outside
     /// a simulated process.
     pub fn mark_recovered(&self, victim: usize) {
-        if let Some(pid) = current_pid() {
-            self.shared.mark_recovered(pid, victim);
-        }
+        self.shared.mark_recovered(victim);
     }
 }
 
@@ -120,30 +80,23 @@ impl Platform for SimPlatform {
     }
 
     fn delay(&self, nanos: u64) {
-        if let Some(pid) = current_pid() {
-            self.shared.delay(pid, nanos);
-        }
         // Outside the simulation, delay is free: setup time is untimed.
+        self.shared.delay(nanos);
     }
 
     fn cpu_relax(&self) {
-        if let Some(pid) = current_pid() {
-            // A failed spin probe that does not touch memory: charge one
-            // local-work unit.
-            self.shared.delay(pid, 1);
-        }
+        // A failed spin probe that does not touch memory: charge one
+        // local-work unit.
+        self.shared.delay(1);
     }
 
     fn jitter_seed(&self) -> u64 {
         // Derived purely from the calling process's identity and its own
-        // program order (the run loop swaps each process's counter in),
-        // so the seed sequence is identical on every run.
-        let counter = SEED_COUNTER.with(|c| {
-            let v = c.get();
-            c.set(v + 1);
-            v
-        });
-        let pid = current_pid().map_or(u64::MAX, |p| p as u64);
+        // program order (every switch moves each process's counter in and
+        // out of the run record), so the seed sequence is identical on
+        // every run.
+        let (pid, counter) = self.shared.next_seed();
+        let pid = pid.map_or(u64::MAX, |p| p as u64);
         // splitmix64-style finalizer for good bit spread.
         let mut z = pid
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -159,17 +112,15 @@ impl Platform for SimPlatform {
         // identical on every run, so sharded structures dispatch
         // deterministically. Setup/inspection callers (unbound) all map
         // to 0, which is fine — setup is untimed and single-threaded.
-        current_pid().unwrap_or(0)
+        self.shared.bound().unwrap_or(0)
     }
 
     fn fault_point(&self, label: &'static str) {
         // Routes to the run's FaultPlan. The shared side prechecks the
-        // plan lock-free, so unwatched processes (and every process of an
-        // unfaulted run) take a few instructions and no scheduler
-        // interaction — the canonical schedule is untouched.
-        if let Some(pid) = current_pid() {
-            self.shared.fault_point(pid, label);
-        }
+        // plan without touching the core, so unwatched processes (and
+        // every process of an unfaulted run) take a few instructions and
+        // no scheduler interaction — the canonical schedule is untouched.
+        self.shared.fault_point(label);
     }
 
     fn dead_peers(&self) -> u64 {
@@ -180,13 +131,9 @@ impl Platform for SimPlatform {
         // untimed setup so cell ids (and traces) stay schedule-stable.
         // Outside a simulated process the read is direct and free.
         let cell = self.shared.death_board();
-        match current_pid() {
-            Some(pid) => self
-                .shared
-                .mem_op(pid, cell, MemOp::Load)
-                .expect("load is infallible"),
-            None => self.shared.peek(cell),
-        }
+        self.shared
+            .mem_op(cell, MemOp::Load)
+            .expect("load is infallible")
     }
 
     fn mark_recovered(&self, victim: usize) {
@@ -198,27 +145,20 @@ impl Platform for SimPlatform {
     fn mark_repaired(&self, victim: usize, point: &'static str) {
         // Free, like mark_recovered: the repair's memory traffic was
         // already charged op by op. No-op outside a simulated process.
-        if let Some(pid) = current_pid() {
-            self.shared.mark_repaired(pid, victim, point);
-        }
+        self.shared.mark_repaired(victim, point);
     }
 
     fn now_ns(&self) -> u64 {
         // The calling process's virtual time. Free and token-keeping: a
         // clock read touches no shared memory. The coordinator (setup /
         // inspection) reads 0 — setup is untimed.
-        match current_pid() {
-            Some(pid) => self.shared.now_ns(pid),
-            None => 0,
-        }
+        self.shared.now_ns()
     }
 
     fn record_latency(&self, arrival_ns: u64) {
         // Free, like mark_recovered: the dequeue that surfaced the item
         // was already charged. No-op outside a simulated process.
-        if let Some(pid) = current_pid() {
-            self.shared.record_latency(pid, arrival_ns);
-        }
+        self.shared.record_latency(arrival_ns);
     }
 }
 
@@ -227,7 +167,9 @@ impl Platform for SimPlatform {
 /// Operations performed from a simulated process are charged virtual time
 /// under the coherence cost model and are serialized by the scheduler;
 /// operations from outside a simulated process apply immediately and free
-/// of charge.
+/// of charge. Like [`SimPlatform`], a cell may be used from any thread
+/// except while its simulation runs, when only its processes may touch
+/// it: a call from another thread then panics.
 pub struct SimCell {
     id: u32,
     shared: Arc<SimShared>,
@@ -235,39 +177,7 @@ pub struct SimCell {
 
 impl SimCell {
     fn op(&self, op: MemOp) -> Result<u64, u64> {
-        match current_pid() {
-            Some(pid) => self.shared.mem_op(pid, self.id, op),
-            None => self.direct(op),
-        }
-    }
-
-    /// Setup-mode operation: applied atomically (under the core lock) but
-    /// with no cost and no cache effects.
-    fn direct(&self, op: MemOp) -> Result<u64, u64> {
-        let prev = self.shared.peek(self.id);
-        match op {
-            MemOp::Load => Ok(prev),
-            MemOp::Store(v) => {
-                self.shared.poke(self.id, v);
-                Ok(prev)
-            }
-            MemOp::CompareExchange { current, new } => {
-                if prev == current {
-                    self.shared.poke(self.id, new);
-                    Ok(prev)
-                } else {
-                    Err(prev)
-                }
-            }
-            MemOp::Swap(v) => {
-                self.shared.poke(self.id, v);
-                Ok(prev)
-            }
-            MemOp::FetchAdd(d) => {
-                self.shared.poke(self.id, prev.wrapping_add(d));
-                Ok(prev)
-            }
-        }
+        self.shared.mem_op(self.id, op)
     }
 }
 

@@ -5,10 +5,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::config::SimConfig;
-use crate::core::{ProcessKilled, SimShared, NOBODY};
+use crate::core::{ProcessKilled, SimShared};
 use crate::fault::FaultPlan;
 use crate::fiber::Fiber;
-use crate::platform::{bind, Binding, SimPlatform};
+use crate::platform::SimPlatform;
 use crate::report::SimReport;
 
 /// Identity of a simulated process, passed to the process body.
@@ -89,17 +89,19 @@ impl Simulation {
     /// statistics.
     ///
     /// Each process runs as a fiber (a stack of its own) on the calling
-    /// thread. A loop here resumes whichever process holds the execution
-    /// token; a process that must wait for the token suspends back to the
-    /// loop. So exactly one process runs at a time, and the interleaving
-    /// of `Platform`/`AtomicWord` operations, and of the host code between
-    /// them, depends only on the configuration and the operations the
-    /// bodies perform, never on host scheduling.
+    /// thread, which owns the simulation until the run returns. A process
+    /// that must wait for the execution token switches straight to the
+    /// process holding it. So exactly one process runs at a time, and the
+    /// interleaving of `Platform`/`AtomicWord` operations, and of the host
+    /// code between them, depends only on the configuration and the
+    /// operations the bodies perform, never on host scheduling.
     ///
     /// # Panics
     ///
     /// Panics if a process panics (the lowest pid's panic is propagated,
-    /// after every other process has finished).
+    /// after every other process has finished). A call that reaches this
+    /// simulation from another thread during the run panics there, with
+    /// a message naming the single-owner rule.
     pub fn run<F>(self, body: F) -> SimReport
     where
         F: Fn(ProcessInfo) + Send + Sync + 'static,
@@ -128,17 +130,7 @@ impl Simulation {
                 }))
             })
             .collect();
-        let mut bindings: Vec<Binding> = (0..n).map(Binding::process).collect();
-        shared.start();
-        loop {
-            let pid = shared.token_holder();
-            if pid == NOBODY {
-                break;
-            }
-            let outer = bind(bindings[pid]);
-            fibers[pid].resume();
-            bindings[pid] = bind(outer);
-        }
+        let report = shared.drive(&mut fibers);
         // Every process retires only on its own stack, and a retired
         // process runs to the end of its fiber without switching.
         assert!(
@@ -148,7 +140,7 @@ impl Simulation {
         if let Some(panic) = fibers.iter_mut().find_map(Fiber::take_panic) {
             resume_unwind(panic);
         }
-        self.shared.snapshot()
+        report
     }
 }
 
@@ -516,6 +508,102 @@ mod tests {
         });
         assert_eq!(cell.load(), 2);
         assert_eq!(report.total_ops, 2);
+    }
+
+    /// Each process's jitter-seed sequence, drawn after every op, with its
+    /// pid checked after every op as well.
+    fn seed_sequences(
+        processors: usize,
+        processes_per_processor: usize,
+        seed: u64,
+    ) -> Vec<Vec<u64>> {
+        let sim = Simulation::new(SimConfig {
+            processors,
+            processes_per_processor,
+            quantum_ns: 2_000,
+            seed,
+            ..SimConfig::default()
+        });
+        let platform = sim.platform();
+        let cell = Arc::new(platform.alloc_cell(0));
+        let sequences = Arc::new(std::sync::Mutex::new(vec![Vec::new(); sim.num_processes()]));
+        sim.run({
+            let sequences = Arc::clone(&sequences);
+            move |info| {
+                for _ in 0..20 {
+                    cell.fetch_add(1);
+                    assert_eq!(platform.affinity_hint(), info.pid);
+                    let seed = platform.jitter_seed();
+                    sequences.lock().unwrap()[info.pid].push(seed);
+                }
+            }
+        });
+        Arc::try_unwrap(sequences).unwrap().into_inner().unwrap()
+    }
+
+    #[test]
+    fn bindings_follow_every_switch() {
+        // A process's pid and jitter seeds depend on nothing but its own
+        // program order, however the processes interleave: one processor
+        // rotating four processes by quantum, four processors alternating
+        // op by op, and three seeds of each.
+        let reference = seed_sequences(1, 4, 0);
+        for seed in 0..3 {
+            assert_eq!(seed_sequences(1, 4, seed), reference, "1x4, seed {seed}");
+            assert_eq!(seed_sequences(4, 1, seed), reference, "4x1, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_process_touching_an_idle_simulation_takes_the_setup_path() {
+        let cfg = SimConfig {
+            processors: 2,
+            ..SimConfig::default()
+        };
+        let other = Simulation::new(cfg);
+        let foreign = Arc::new(other.platform().alloc_cell(0));
+        let sim = Simulation::new(cfg);
+        let own = Arc::new(sim.platform().alloc_cell(0));
+        let report = sim.run({
+            let (own, foreign) = (Arc::clone(&own), Arc::clone(&foreign));
+            move |info| {
+                own.fetch_add(1);
+                if info.pid == 1 {
+                    foreign.store(42);
+                }
+                own.fetch_add(1);
+            }
+        });
+        assert_eq!(foreign.load(), 42);
+        assert_eq!(own.load(), 4);
+        assert_eq!(report.total_ops, 4, "only the run's own cells are charged");
+        assert_eq!(other.run(|_| {}).elapsed_ns, 0, "the store was untimed");
+    }
+
+    #[test]
+    fn a_foreign_thread_touching_a_running_simulation_panics() {
+        let run = |spawn: bool| {
+            let sim = Simulation::new(SimConfig {
+                processors: 2,
+                ..SimConfig::default()
+            });
+            let cell = Arc::new(sim.platform().alloc_cell(0));
+            let report = sim.run({
+                let cell = Arc::clone(&cell);
+                move |info| {
+                    cell.fetch_add(1);
+                    if spawn && info.pid == 1 {
+                        let joined = std::thread::scope(|s| s.spawn(|| cell.load()).join());
+                        let payload = joined.expect_err("a load from another thread must panic");
+                        let message = payload.downcast_ref::<&str>().expect("a literal message");
+                        assert!(message.contains("single-owner rule"), "{message}");
+                    }
+                    cell.fetch_add(1);
+                }
+            });
+            (report, cell.load())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
