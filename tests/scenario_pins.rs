@@ -93,8 +93,12 @@ const FAULTED_PAIRED: u64 = 0x3b57_9f87_97e6_efc8;
 
 /// `(contender, kill label, repairable build, digest)` of the old
 /// `run_simulated_with_policy` loop at seed 0, pid 1 killed on its first
-/// hit of the label and pid 0 the designated survivor.
-const POLICY: [(Algorithm, &str, bool, u64); 3] = [
+/// hit of the label and pid 0 the designated survivor. With the two
+/// original repairable cases they pin all six repair paths (both windows
+/// of each blocking queue); the other four were recorded from the
+/// separate repairable queue types, before repair became a mode of the
+/// plain queues.
+const POLICY: [(Algorithm, &str, bool, u64); 7] = [
     (
         Algorithm::NewNonBlocking,
         "msq:deq:window",
@@ -108,10 +112,34 @@ const POLICY: [(Algorithm, &str, bool, u64); 3] = [
         0x9fcc_0c12_76d3_d363,
     ),
     (
+        Algorithm::SingleLock,
+        "single-lock:deq:locked",
+        true,
+        0x74bf_6115_2ba8_1ba4,
+    ),
+    (
+        Algorithm::NewTwoLock,
+        "two-lock:enq:locked",
+        true,
+        0x0389_0de1_b9e8_6c10,
+    ),
+    (
         Algorithm::NewTwoLock,
         "two-lock:deq:locked",
         true,
         0x6003_020b_300a_2cde,
+    ),
+    (
+        Algorithm::MellorCrummey,
+        "mc:enq:window",
+        true,
+        0xc45b_a9a0_66d9_5a78,
+    ),
+    (
+        Algorithm::MellorCrummey,
+        "mc:deq:window",
+        true,
+        0xc523_1169_62b5_c4ad,
     ),
 ];
 
