@@ -10,7 +10,7 @@
 //! | [`TreiberStack`] | Treiber's non-blocking stack | the free-list algorithm, exposed as a structure |
 //! | [`HerlihyQueue`] | Herlihy's universal construction (native-only) | non-blocking but copies the whole object per op — the "general methodology" the paper says specialized algorithms beat |
 //! | [`LamportQueue`] | Lamport's wait-free ring | single-producer/single-consumer only |
-//! | [`RepairableSingleLockQueue`] / [`RepairableMcQueue`] | crash-survivable variants (DESIGN.md §13) | revocable-lock / announce-cell repair closes the blocking baselines' wedge-on-death hole |
+//! | [`RepairableSingleLockQueue`] / [`RepairableMcQueue`] | the two blocking baselines in `msq_sync::Repair` mode (DESIGN.md §13) | revocable-lock / announce-cell repair closes the wedge-on-death hole; aliases, not separate types |
 //!
 //! All queues implement [`msq_platform::ConcurrentWordQueue`] over any
 //! [`msq_platform::Platform`], so the harness can drive them natively or in
@@ -23,16 +23,14 @@ mod herlihy;
 mod lamport;
 mod mellor_crummey;
 mod plj;
-mod repairable;
 mod single_lock;
 mod treiber;
 mod valois_queue;
 
 pub use herlihy::HerlihyQueue;
 pub use lamport::LamportQueue;
-pub use mellor_crummey::McQueue;
+pub use mellor_crummey::{McQueue, RepairableMcQueue, REPAIR_PIDS};
 pub use plj::PljQueue;
-pub use repairable::{RepairableMcQueue, RepairableSingleLockQueue, REPAIR_PIDS};
-pub use single_lock::SingleLockQueue;
+pub use single_lock::{RepairableSingleLockQueue, SingleLockQueue};
 pub use treiber::TreiberStack;
 pub use valois_queue::ValoisQueue;

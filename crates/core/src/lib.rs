@@ -71,7 +71,6 @@
 
 mod epoch_queue;
 mod ms_queue;
-mod repairable_two_lock;
 mod seg_queue;
 mod sharded;
 pub mod spsc;
@@ -83,7 +82,6 @@ mod word_two_lock;
 
 pub use epoch_queue::EpochMsQueue;
 pub use ms_queue::MsQueue;
-pub use repairable_two_lock::RepairableTwoLockQueue;
 pub use seg_queue::{SegConfig, SegQueue, SegStats};
 pub use sharded::{ShardedQueue, WordShardedQueue, DEFAULT_SHARDS};
 pub use spsc::channel as spsc_channel;
@@ -91,4 +89,4 @@ pub use stack::LockFreeStack;
 pub use two_lock_queue::TwoLockQueue;
 pub use word_ms::WordMsQueue;
 pub use word_seg::WordSegQueue;
-pub use word_two_lock::WordTwoLockQueue;
+pub use word_two_lock::{RepairableTwoLockQueue, WordTwoLockQueue};

@@ -165,9 +165,9 @@ impl Algorithm {
         !matches!(self, Algorithm::SingleLock | Algorithm::NewTwoLock)
     }
 
-    /// Whether the algorithm has a crash-survivable *repairable* variant
+    /// Whether the algorithm has a crash-survivable repair mode
     /// (DESIGN.md §13): the blocking queues whose critical windows can
-    /// wedge survivors get one; the non-blocking queues do not need one —
+    /// wedge survivors have one; the non-blocking queues do not need one —
     /// their helping rules already make every death survivable.
     pub fn has_repairable_variant(self) -> bool {
         matches!(
@@ -178,108 +178,80 @@ impl Algorithm {
 
     /// Constructs the queue over any platform with the given capacity.
     pub fn build<P: Platform>(self, platform: &P, capacity: u32) -> Arc<dyn ConcurrentWordQueue> {
-        self.build_with_budget(platform, capacity, None)
-    }
-
-    /// As [`Algorithm::build`], but constructing the crash-survivable
-    /// repairable variant for the algorithms that have one
-    /// ([`Algorithm::has_repairable_variant`]): revocable locks plus
-    /// intent-cell repair for the lock-based queues, announce-cell repair
-    /// for Mellor-Crummey. Algorithms without a repairable variant build
-    /// their ordinary (already death-survivable) queue, so a
-    /// repair-enabled sweep can still cover the full legend.
-    pub fn build_repairable<P: Platform>(
-        self,
-        platform: &P,
-        capacity: u32,
-    ) -> Arc<dyn ConcurrentWordQueue> {
-        self.build_repairable_with_budget(platform, capacity, None)
-    }
-
-    /// As [`Algorithm::build_repairable`], optionally metering memory
-    /// residency against a shared [`MemBudget`].
-    pub fn build_repairable_with_budget<P: Platform>(
-        self,
-        platform: &P,
-        capacity: u32,
-        budget: Option<Arc<MemBudget<P>>>,
-    ) -> Arc<dyn ConcurrentWordQueue> {
-        match (self, budget) {
-            (Algorithm::SingleLock, Some(budget)) => Arc::new(
-                RepairableSingleLockQueue::with_capacity_and_budget(platform, capacity, budget),
-            ),
-            (Algorithm::SingleLock, None) => {
-                Arc::new(RepairableSingleLockQueue::with_capacity(platform, capacity))
-            }
-            (Algorithm::NewTwoLock, Some(budget)) => Arc::new(
-                RepairableTwoLockQueue::with_capacity_and_budget(platform, capacity, budget),
-            ),
-            (Algorithm::NewTwoLock, None) => {
-                Arc::new(RepairableTwoLockQueue::with_capacity(platform, capacity))
-            }
-            (Algorithm::MellorCrummey, Some(budget)) => Arc::new(
-                RepairableMcQueue::with_capacity_and_budget(platform, capacity, budget),
-            ),
-            (Algorithm::MellorCrummey, None) => {
-                Arc::new(RepairableMcQueue::with_capacity(platform, capacity))
-            }
-            (other, budget) => other.build_with_budget(platform, capacity, budget),
-        }
+        self.build_with_budget(platform, capacity, None, false)
     }
 
     /// As [`Algorithm::build`], optionally metering memory residency
-    /// against a shared [`MemBudget`]. The segment-based extensions
-    /// ([`Algorithm::SegBatched`], [`Algorithm::Sharded`]) reserve and
-    /// release units segment by segment; every node-arena algorithm
-    /// (the paper's six) force-reserves its whole preallocated pool for
-    /// the queue's lifetime, so an over-budget pool surfaces in
+    /// against a shared [`MemBudget`], and with `repair` set building the
+    /// queues that have a repair mode ([`Algorithm::has_repairable_variant`])
+    /// in it: revocable locks plus intent-cell repair for the lock-based
+    /// queues, announce-cell repair for Mellor-Crummey. Algorithms without
+    /// one build their ordinary (already death-survivable) queue, so a
+    /// repair-enabled sweep can still cover the full legend.
+    ///
+    /// The segment-based extensions ([`Algorithm::SegBatched`],
+    /// [`Algorithm::Sharded`]) reserve and release units segment by
+    /// segment; every node-arena algorithm (the paper's six)
+    /// force-reserves its whole preallocated pool for the queue's
+    /// lifetime, so an over-budget pool surfaces in
     /// [`MemBudget::overruns`] rather than failing construction.
     pub fn build_with_budget<P: Platform>(
         self,
         platform: &P,
         capacity: u32,
         budget: Option<Arc<MemBudget<P>>>,
+        repair: bool,
     ) -> Arc<dyn ConcurrentWordQueue> {
-        if let Some(budget) = budget {
-            return match self {
-                Algorithm::SingleLock => Arc::new(SingleLockQueue::with_capacity_and_budget(
+        match self {
+            Algorithm::SingleLock if repair => {
+                Arc::new(RepairableSingleLockQueue::new(platform, capacity, budget))
+            }
+            Algorithm::SingleLock => {
+                Arc::new(SingleLockQueue::<P>::new(platform, capacity, budget))
+            }
+            Algorithm::MellorCrummey if repair => {
+                Arc::new(RepairableMcQueue::new(platform, capacity, budget))
+            }
+            Algorithm::MellorCrummey => Arc::new(McQueue::<P>::new(platform, capacity, budget)),
+            Algorithm::NewTwoLock if repair => {
+                Arc::new(RepairableTwoLockQueue::new(platform, capacity, budget))
+            }
+            Algorithm::NewTwoLock => {
+                Arc::new(WordTwoLockQueue::<P>::new(platform, capacity, budget))
+            }
+            Algorithm::Valois => match budget {
+                Some(budget) => Arc::new(ValoisQueue::with_capacity_and_budget(
                     platform, capacity, budget,
                 )),
-                Algorithm::MellorCrummey => Arc::new(McQueue::with_capacity_and_budget(
+                None => Arc::new(ValoisQueue::with_capacity(platform, capacity)),
+            },
+            Algorithm::PljNonBlocking => match budget {
+                Some(budget) => Arc::new(PljQueue::with_capacity_and_budget(
                     platform, capacity, budget,
                 )),
-                Algorithm::Valois => Arc::new(ValoisQueue::with_capacity_and_budget(
+                None => Arc::new(PljQueue::with_capacity(platform, capacity)),
+            },
+            Algorithm::NewNonBlocking => match budget {
+                Some(budget) => Arc::new(WordMsQueue::with_capacity_and_budget(
                     platform, capacity, budget,
                 )),
-                Algorithm::PljNonBlocking => Arc::new(PljQueue::with_capacity_and_budget(
+                None => Arc::new(WordMsQueue::with_capacity(platform, capacity)),
+            },
+            Algorithm::SegBatched => match budget {
+                Some(budget) => Arc::new(WordSegQueue::with_capacity_and_budget(
                     platform, capacity, budget,
                 )),
-                Algorithm::NewNonBlocking => Arc::new(WordMsQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                Algorithm::SegBatched => Arc::new(WordSegQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                Algorithm::Sharded => Arc::new(WordShardedQueue::with_shards_and_budget(
+                None => Arc::new(WordSegQueue::with_capacity(platform, capacity)),
+            },
+            Algorithm::Sharded => match budget {
+                Some(budget) => Arc::new(WordShardedQueue::with_shards_and_budget(
                     platform,
                     capacity,
                     DEFAULT_SHARDS,
                     budget,
                 )),
-                Algorithm::NewTwoLock => Arc::new(WordTwoLockQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-            };
-        }
-        match self {
-            Algorithm::SingleLock => Arc::new(SingleLockQueue::with_capacity(platform, capacity)),
-            Algorithm::MellorCrummey => Arc::new(McQueue::with_capacity(platform, capacity)),
-            Algorithm::Valois => Arc::new(ValoisQueue::with_capacity(platform, capacity)),
-            Algorithm::NewTwoLock => Arc::new(WordTwoLockQueue::with_capacity(platform, capacity)),
-            Algorithm::PljNonBlocking => Arc::new(PljQueue::with_capacity(platform, capacity)),
-            Algorithm::NewNonBlocking => Arc::new(WordMsQueue::with_capacity(platform, capacity)),
-            Algorithm::SegBatched => Arc::new(WordSegQueue::with_capacity(platform, capacity)),
-            Algorithm::Sharded => Arc::new(WordShardedQueue::with_capacity(platform, capacity)),
+                None => Arc::new(WordShardedQueue::with_capacity(platform, capacity)),
+            },
         }
     }
 }
@@ -310,7 +282,7 @@ mod tests {
     fn repairable_builds_cover_the_legend() {
         let platform = NativePlatform::new();
         for alg in Algorithm::WITH_EXTENSIONS {
-            let q = alg.build_repairable(&platform, 16);
+            let q = alg.build_with_budget(&platform, 16, None, true);
             q.enqueue(7).unwrap();
             assert_eq!(q.dequeue(), Some(7), "{alg} repairable round trip");
             assert_eq!(

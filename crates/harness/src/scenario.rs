@@ -8,8 +8,12 @@
 //! plumbing into two drivers ([`run_scenario_simulated`] and
 //! [`run_scenario_native`]) parameterized by a [`Scenario`]: the
 //! per-process op script plus the declarative bits the driver needs
-//! (queue count, setup cells, drain safety, net-time accounting, and a
-//! conservation predicate).
+//! (queue count, whether the blocking queues run in their crash-repair
+//! mode, setup cells, drain safety, net-time accounting, and a
+//! conservation predicate). Repair is a mode of each blocking queue, so
+//! the driver builds every queue through the one registry call,
+//! [`Algorithm::build_with_budget`], and passes the scenario's choice
+//! along.
 //!
 //! The legacy entry points (`run_simulated`, `run_simulated_faulted`,
 //! `run_simulated_recovered`, `run_simulated_repaired`,
@@ -138,8 +142,8 @@ pub trait Scenario<P: Platform>: Send + Sync + 'static {
         1
     }
 
-    /// Whether queues are built as their crash-survivable repairable
-    /// variants ([`Algorithm::build_repairable`]).
+    /// Whether queues are built in their crash-survivable repair mode
+    /// (the `repair` flag of [`Algorithm::build_with_budget`]).
     fn repairable(&self) -> bool {
         false
     }
@@ -176,8 +180,8 @@ pub trait Scenario<P: Platform>: Send + Sync + 'static {
     fn other_work_share(&self, processors: usize) -> u64;
 
     /// Whether the post-run drain is safe even when the plan killed a
-    /// process on a blocking queue (repairable queues: the drain itself
-    /// revokes a dead holder's lock).
+    /// process on a blocking queue (queues in repair mode: the drain
+    /// itself revokes a dead holder's lock).
     fn drain_after_kills(&self) -> bool {
         false
     }
@@ -241,11 +245,12 @@ fn build_queues<P: Platform, S: Scenario<P> + ?Sized>(
     let workload = scenario.workload();
     (0..scenario.num_queues(n))
         .map(|_| {
-            if scenario.repairable() {
-                algorithm.build_repairable_with_budget(platform, workload.capacity, budget.clone())
-            } else {
-                algorithm.build_with_budget(platform, workload.capacity, budget.clone())
-            }
+            algorithm.build_with_budget(
+                platform,
+                workload.capacity,
+                budget.clone(),
+                scenario.repairable(),
+            )
         })
         .collect()
 }
@@ -328,7 +333,7 @@ pub fn run_scenario_simulated<S: Scenario<SimPlatform>>(
     });
     // Draining a blocking queue whose lock died held would spin forever
     // on the *native* caller thread (no watchdog out here); skip it
-    // unless the scenario's queues survive that (repairable variants).
+    // unless the scenario's queues survive that (repair mode).
     let drain_is_safe = scenario.drain_after_kills() || !has_kills || algorithm.is_nonblocking();
     let drained = if drain_is_safe && report.blocked.is_empty() {
         Some(drain_all(&queues))
@@ -631,16 +636,17 @@ impl<P: Platform> Scenario<P> for BatchedScenario {
 /// victim's residual share (replayed with `RECOVERY_BIT`-marked values)
 /// before stamping the handoff with [`Platform::mark_recovered`].
 ///
-/// With `repairable` set the queues are built crash-survivable
-/// ([`Algorithm::build_repairable`]) and the post-run drain is always
-/// attempted (the drain itself revokes a still-held dead lock).
+/// With `repairable` set the queues are built in repair mode (the
+/// `repair` flag of [`Algorithm::build_with_budget`]) and the post-run
+/// drain is always attempted (the drain itself revokes a still-held dead
+/// lock).
 #[derive(Clone, Copy, Debug)]
 pub struct PolicyScenario {
     /// Workload parameters.
     pub workload: WorkloadConfig,
     /// Which survivor absorbs victims' shares.
     pub policy: RecoveryPolicy,
-    /// Build the crash-survivable repairable queue variants.
+    /// Build the blocking queues in their crash-survivable repair mode.
     pub repairable: bool,
 }
 

@@ -15,8 +15,13 @@ pub(crate) const RECOVERY_BIT: u64 = 1 << 39;
 
 /// Workload parameters (Section 4 defaults are the `Default` impl, with
 /// the op count scaled down — the simulator pays a scheduling transaction
-/// per shared access, so the full 10^6 pairs is reserved for long runs;
-/// the *relative* curves are unchanged by the scale).
+/// per shared access, so the full 10^6 pairs is reserved for long runs).
+///
+/// The scale-down keeps Figure 3's relative curves: at 10^6 pairs and the
+/// paper's 10 ms quantum every Figure 3 value lies within 7% of the
+/// scaled-down table. It does not keep all of Figure 5's: there the
+/// single-lock and two-lock columns fall and the Valois column moves with
+/// the arena size. ROADMAP's "Paper-scale figures" item has the numbers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkloadConfig {
     /// Total enqueue/dequeue pairs across all processes (paper: 10^6).
@@ -28,7 +33,8 @@ pub struct WorkloadConfig {
     /// pinned chains.
     pub capacity: u32,
     /// Global segment-residency budget, in segments. `Some(limit)` meters
-    /// the segment-based extensions against a fresh [`MemBudget`] for the
+    /// the segment-based extensions against a fresh
+    /// [`MemBudget`](msq_arena::MemBudget) for the
     /// run and reports peak residency/denials in the [`MeasuredPoint`];
     /// `None` (the default) runs unbudgeted. The paper's six preallocate
     /// node arenas and ignore it.
@@ -163,7 +169,7 @@ pub struct FaultedPoint {
     /// Every lock revocation / invariant repair (§13), in completion
     /// order: who died, who repaired, and the repair-outcome label.
     /// Empty unless the run used [`run_simulated_repaired`] (or a queue
-    /// built with [`Algorithm::build_repairable`]).
+    /// built in repair mode by [`Algorithm::build_with_budget`]).
     pub repairs: Vec<RepairReport>,
     /// Slowest virtual time from a kill to the matching repair landing;
     /// `None` when nothing was repaired.
@@ -209,7 +215,7 @@ pub fn run_simulated_faulted(
 /// designated survivor polls the simulator's death board
 /// ([`msq_sim::SimPlatform::death_board`]) — once per own pair and then
 /// continuously after its own share — absorbing each killed victim's
-/// residual share (replayed with [`RECOVERY_BIT`]-marked values) before
+/// residual share (replayed with `RECOVERY_BIT`-marked values) before
 /// stamping the handoff with `mark_recovered`. The whole recovery
 /// schedule is a pure function of the seed, so the reported
 /// time-to-recover replays byte-identically.
@@ -242,8 +248,8 @@ pub fn run_simulated_recovered(
 }
 
 /// Runs the recovered workload of [`run_simulated_recovered`] on the
-/// algorithm's crash-survivable *repairable* variant
-/// ([`Algorithm::build_repairable`]): revocable locks plus intent-cell
+/// algorithm's crash-survivable repair mode (the `repair` flag of
+/// [`Algorithm::build_with_budget`]): revocable locks plus intent-cell
 /// repair for the lock-based queues, announce-cell repair for
 /// Mellor-Crummey, the unchanged (already survivable) queue otherwise.
 ///

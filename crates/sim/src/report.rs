@@ -83,7 +83,7 @@ impl RecoveryReport {
 /// One completed lock revocation + invariant repair: a waiter found the
 /// lock (or critical window) held by a dead process, seized it, and
 /// restored the structure's invariant (see
-/// [`crate::SimPlatform::mark_repaired`]).
+/// [`Platform::mark_repaired`](msq_platform::Platform::mark_repaired)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RepairReport {
     /// The dead process whose torn state was repaired.
@@ -189,7 +189,7 @@ pub struct SimReport {
     pub recoveries: Vec<RecoveryReport>,
     /// Completed lock revocation + invariant repairs, in completion order
     /// (empty unless the run's processes called
-    /// [`crate::SimPlatform::mark_repaired`]).
+    /// [`Platform::mark_repaired`](msq_platform::Platform::mark_repaired)).
     pub repairs: Vec<RepairReport>,
     /// Enqueue-to-dequeue latency samples, in completion order (empty
     /// unless the run's processes recorded them via the platform's

@@ -5,8 +5,11 @@
 //! exponential backoff"; this crate provides that lock ([`TtasLock`]),
 //! plus a plain [`TasLock`] (the machines-with-only-`test_and_set`
 //! motivation for the two-lock algorithm) and a [`TicketLock`] (FIFO
-//! extension, useful in the ablation benches). All are expressed over
+//! extension, useful in the ablation benches), and a [`RevocableLock`]
+//! that a waiter can seize from a dead holder. All are expressed over
 //! [`msq_platform::Platform`] so they run natively and under simulation.
+//! [`RepairMode`] picks between the TTAS lock ([`Plain`]) and the
+//! revocable one plus repair state ([`Repair`]) for the blocking queues.
 //!
 //! # Example
 //!
@@ -29,4 +32,4 @@ mod revocable;
 
 pub use locks::{RawLock, TasLock, TicketLock, TtasLock};
 pub use qlocks::{ClhLock, ClhToken, McsLock, TokenLock};
-pub use revocable::{Acquired, RevocableLock};
+pub use revocable::{Acquired, Plain, Repair, RepairMode, RevocableLock};

@@ -2,6 +2,8 @@
 
 use msq_platform::{AtomicWord, Backoff, BackoffConfig, Platform};
 
+use crate::Acquired;
+
 /// A mutual-exclusion spin lock over a [`Platform`].
 ///
 /// `lock`/`unlock` take the platform so delays (backoff) are charged to the
@@ -9,8 +11,10 @@ use msq_platform::{AtomicWord, Backoff, BackoffConfig, Platform};
 /// responsible for pairing `lock` with `unlock` (the queue algorithms use
 /// them in strict bracketed fashion, exactly like the paper's pseudo-code).
 pub trait RawLock<P: Platform>: Send + Sync {
-    /// Acquires the lock, spinning until available.
-    fn lock(&self, platform: &P);
+    /// Acquires the lock, spinning until available. The plain spin locks
+    /// always return [`Acquired::Clean`]; a [`crate::RevocableLock`] may
+    /// instead seize the lock from a dead holder and say so.
+    fn lock(&self, platform: &P) -> Acquired;
 
     /// Releases the lock.
     ///
@@ -49,11 +53,12 @@ impl<P: Platform> TasLock<P> {
 }
 
 impl<P: Platform> RawLock<P> for TasLock<P> {
-    fn lock(&self, platform: &P) {
+    fn lock(&self, platform: &P) -> Acquired {
         let mut backoff = Backoff::new(self.backoff);
         while self.word.test_and_set() {
             backoff.spin(platform);
         }
+        Acquired::Clean
     }
 
     fn unlock(&self, _platform: &P) {
@@ -93,7 +98,7 @@ impl<P: Platform> TtasLock<P> {
 }
 
 impl<P: Platform> RawLock<P> for TtasLock<P> {
-    fn lock(&self, platform: &P) {
+    fn lock(&self, platform: &P) -> Acquired {
         let mut backoff = Backoff::new(self.backoff);
         loop {
             // Wait until the lock at least looks free (read-only spin).
@@ -101,7 +106,7 @@ impl<P: Platform> RawLock<P> for TtasLock<P> {
                 backoff.spin(platform);
             }
             if !self.word.test_and_set() {
-                return;
+                return Acquired::Clean;
             }
             backoff.spin(platform);
         }
@@ -142,12 +147,13 @@ impl<P: Platform> TicketLock<P> {
 }
 
 impl<P: Platform> RawLock<P> for TicketLock<P> {
-    fn lock(&self, platform: &P) {
+    fn lock(&self, platform: &P) -> Acquired {
         let my_ticket = self.next_ticket.fetch_add(1);
         let mut backoff = Backoff::new(self.backoff);
         while self.now_serving.load() != my_ticket {
             backoff.spin(platform);
         }
+        Acquired::Clean
     }
 
     fn unlock(&self, _platform: &P) {
@@ -164,6 +170,7 @@ impl<P: Platform> RawLock<P> for TicketLock<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RevocableLock;
     use msq_platform::NativePlatform;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -185,7 +192,11 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let platform = NativePlatform::new();
                 for _ in 0..2_000 {
-                    lock.lock(&platform);
+                    assert_eq!(
+                        lock.lock(&platform),
+                        Acquired::Clean,
+                        "nobody dies natively"
+                    );
                     assert_eq!(in_cs.fetch_add(1, Ordering::SeqCst), 0, "overlap!");
                     let v = counter.load(Ordering::SeqCst);
                     counter.store(v + 1, Ordering::SeqCst); // non-atomic RMW on purpose
@@ -216,25 +227,23 @@ mod tests {
     }
 
     #[test]
+    fn revocable_lock_excludes() {
+        exercise_mutual_exclusion(RevocableLock::new);
+    }
+
+    #[test]
     fn try_lock_succeeds_only_when_free() {
+        fn check<L: RawLock<NativePlatform>>(p: &NativePlatform, lock: L) {
+            assert!(lock.try_lock(p));
+            assert!(!lock.try_lock(p));
+            lock.unlock(p);
+            assert!(lock.try_lock(p));
+        }
         let p = NativePlatform::new();
-        let tas = TasLock::new(&p);
-        assert!(tas.try_lock(&p));
-        assert!(!tas.try_lock(&p));
-        tas.unlock(&p);
-        assert!(tas.try_lock(&p));
-
-        let ttas = TtasLock::new(&p);
-        assert!(ttas.try_lock(&p));
-        assert!(!ttas.try_lock(&p));
-        ttas.unlock(&p);
-        assert!(ttas.try_lock(&p));
-
-        let ticket = TicketLock::new(&p);
-        assert!(ticket.try_lock(&p));
-        assert!(!ticket.try_lock(&p));
-        ticket.unlock(&p);
-        assert!(ticket.try_lock(&p));
+        check(&p, TasLock::new(&p));
+        check(&p, TtasLock::new(&p));
+        check(&p, TicketLock::new(&p));
+        check(&p, RevocableLock::new(&p));
     }
 
     #[test]

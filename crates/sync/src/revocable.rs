@@ -1,5 +1,6 @@
 //! [`RevocableLock`]: a spin lock whose holder can be declared dead and
-//! dispossessed.
+//! dispossessed, and [`RepairMode`]: the type parameter that turns the
+//! blocking queues' crash repair on.
 //!
 //! The paper's blocking queues wedge forever when a lock holder dies
 //! (DESIGN.md §11): the lock word stays set and every waiter spins until
@@ -11,8 +12,8 @@
 //! the word from `held(dead)` to `repairing(self)`. The successful
 //! revoker enters the critical section knowing the invariant may be
 //! torn mid-operation; it runs the owning structure's repair routine
-//! before doing anything else (see the `Repairable*` queue variants in
-//! `msq-baselines`/`msq-core`).
+//! before doing anything else. The single-lock, two-lock and
+//! Mellor-Crummey queues run that protocol in [`Repair`] mode.
 //!
 //! Safety of the `held(dead) → repairing(self)` transition:
 //!
@@ -31,6 +32,8 @@
 
 use msq_platform::{AtomicWord, Backoff, BackoffConfig, Platform};
 
+use crate::{RawLock, TtasLock};
+
 /// Lock-word state tags (upper byte; the low 56 bits carry the holder
 /// id). `FREE` is the whole word, so an unlocked lock is all-zeros —
 /// the same resting state as every other lock in this crate.
@@ -39,7 +42,7 @@ const HELD_TAG: u64 = 1 << 56;
 const REPAIRING_TAG: u64 = 2 << 56;
 const ID_MASK: u64 = (1 << 56) - 1;
 
-/// How a [`RevocableLock::lock`] call obtained the lock.
+/// How a [`RawLock::lock`] call obtained the lock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Acquired {
     /// The lock was taken from the free state: the protected invariant
@@ -90,12 +93,14 @@ impl<P: Platform> RevocableLock<P> {
             probe_budget: Self::DEFAULT_PROBE_BUDGET,
         }
     }
+}
 
+impl<P: Platform> RawLock<P> for RevocableLock<P> {
     /// Acquires the lock, spinning until it is free — or until its
     /// recorded holder is found dead, in which case the lock is seized
     /// and [`Acquired::Repairing`] names the victim whose torn critical
     /// section the caller must repair.
-    pub fn lock(&self, platform: &P) -> Acquired {
+    fn lock(&self, platform: &P) -> Acquired {
         let me = HELD_TAG | (platform.affinity_hint() as u64 & ID_MASK);
         let mut backoff = Backoff::new(self.backoff);
         let mut probes = 0u32;
@@ -130,68 +135,101 @@ impl<P: Platform> RevocableLock<P> {
 
     /// Releases the lock (valid from both the held and the repairing
     /// state — a completed repair releases like any critical section).
-    pub fn unlock(&self, _platform: &P) {
+    fn unlock(&self, _platform: &P) {
         self.word.store(FREE);
     }
 
     /// Attempts a clean acquisition without spinning; `true` on
     /// success. Never revokes.
-    pub fn try_lock(&self, platform: &P) -> bool {
+    fn try_lock(&self, platform: &P) -> bool {
         let me = HELD_TAG | (platform.affinity_hint() as u64 & ID_MASK);
         self.word.cas(FREE, me)
+    }
+}
+
+/// Whether a blocking queue runs the crash-repair protocol of DESIGN.md
+/// §13.
+///
+/// `SingleLockQueue`, `WordTwoLockQueue` and `McQueue` take a mode
+/// parameter that defaults to [`Plain`], the paper's queue: a process
+/// that dies inside its critical window wedges every survivor. In
+/// [`Repair`] mode each TTAS lock becomes a [`RevocableLock`] and the
+/// queue publishes its in-flight operation in protocol cells — intent
+/// cells for the lock queues, per-process announce cells for
+/// Mellor-Crummey — so a survivor can complete or roll back a dead
+/// process's operation and stamp it with [`Platform::mark_repaired`].
+///
+/// A queue branches on [`RepairMode::REPAIR`] only where the two op
+/// sequences differ, so the plain instance issues exactly the
+/// shared-memory ops it always did and carries no repair state.
+pub trait RepairMode<P: Platform>: Send + Sync + 'static {
+    /// Whether the queue publishes its in-flight operations and repairs
+    /// those of dead processes.
+    const REPAIR: bool;
+    /// The lock guarding each critical section.
+    type Lock: RawLock<P>;
+    /// The protocol cells: `()` in plain mode.
+    type Cells: Send + Sync;
+
+    /// Creates an unlocked lock with the given backoff.
+    fn new_lock(platform: &P, backoff: BackoffConfig) -> Self::Lock;
+
+    /// Allocates `count` protocol cells, each holding 0 (none in plain
+    /// mode).
+    fn alloc_cells(platform: &P, count: usize) -> Self::Cells;
+
+    /// The protocol cells, in allocation order (empty in plain mode).
+    fn cells(cells: &Self::Cells) -> &[P::Cell];
+}
+
+/// The paper's blocking queue: a TTAS lock and no repair state.
+#[derive(Debug)]
+pub enum Plain {}
+
+/// The crash-survivable blocking queue: revocable locks plus intent or
+/// announce cells.
+#[derive(Debug)]
+pub enum Repair {}
+
+impl<P: Platform> RepairMode<P> for Plain {
+    const REPAIR: bool = false;
+    type Lock = TtasLock<P>;
+    type Cells = ();
+
+    fn new_lock(platform: &P, backoff: BackoffConfig) -> TtasLock<P> {
+        TtasLock::with_backoff(platform, backoff)
+    }
+
+    fn alloc_cells(_platform: &P, _count: usize) {}
+
+    fn cells(_cells: &()) -> &[P::Cell] {
+        &[]
+    }
+}
+
+impl<P: Platform> RepairMode<P> for Repair {
+    const REPAIR: bool = true;
+    type Lock = RevocableLock<P>;
+    type Cells = Vec<P::Cell>;
+
+    fn new_lock(platform: &P, backoff: BackoffConfig) -> RevocableLock<P> {
+        RevocableLock::with_backoff(platform, backoff)
+    }
+
+    fn alloc_cells(platform: &P, count: usize) -> Vec<P::Cell> {
+        (0..count).map(|_| platform.alloc_cell(0)).collect()
+    }
+
+    fn cells(cells: &Vec<P::Cell>) -> &[P::Cell] {
+        cells
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msq_platform::NativePlatform;
     use msq_sim::{FaultPlan, SimConfig, Simulation};
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn excludes_like_a_plain_spin_lock_natively() {
-        let platform = NativePlatform::new();
-        let lock = Arc::new(RevocableLock::new(&platform));
-        let counter = Arc::new(AtomicU64::new(0));
-        let in_cs = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let lock = Arc::clone(&lock);
-            let counter = Arc::clone(&counter);
-            let in_cs = Arc::clone(&in_cs);
-            handles.push(std::thread::spawn(move || {
-                let platform = NativePlatform::new();
-                for _ in 0..2_000 {
-                    assert_eq!(
-                        lock.lock(&platform),
-                        Acquired::Clean,
-                        "nobody dies natively"
-                    );
-                    assert_eq!(in_cs.fetch_add(1, Ordering::SeqCst), 0, "overlap!");
-                    let v = counter.load(Ordering::SeqCst);
-                    counter.store(v + 1, Ordering::SeqCst); // non-atomic RMW on purpose
-                    in_cs.fetch_sub(1, Ordering::SeqCst);
-                    lock.unlock(&platform);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 8_000);
-    }
-
-    #[test]
-    fn try_lock_succeeds_only_when_free() {
-        let p = NativePlatform::new();
-        let lock = RevocableLock::new(&p);
-        assert!(lock.try_lock(&p));
-        assert!(!lock.try_lock(&p));
-        lock.unlock(&p);
-        assert!(lock.try_lock(&p));
-    }
 
     /// The headline property: a holder killed inside its critical
     /// section is detected via the death board, its lock revoked, and

@@ -263,7 +263,7 @@ fn every_contender_meters_residency_against_a_shared_budget() {
     let platform = NativePlatform::new();
     for alg in Algorithm::WITH_EXTENSIONS {
         let budget = Arc::new(MemBudget::new(&platform, 1_000));
-        let queue = alg.build_with_budget(&platform, 16, Some(Arc::clone(&budget)));
+        let queue = alg.build_with_budget(&platform, 16, Some(Arc::clone(&budget)), false);
         assert!(
             budget.reserved() > 0,
             "{alg}: building the queue must reserve budget units"
@@ -311,7 +311,7 @@ fn node_arena_contenders_record_overruns_instead_of_failing() {
         Algorithm::NewNonBlocking,
     ] {
         let budget = Arc::new(MemBudget::new(&platform, 4));
-        let queue = alg.build_with_budget(&platform, 64, Some(Arc::clone(&budget)));
+        let queue = alg.build_with_budget(&platform, 64, Some(Arc::clone(&budget)), false);
         assert!(
             budget.overruns() > 0,
             "{alg}: an over-budget preallocated pool must be metered as an overrun"

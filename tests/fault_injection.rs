@@ -283,7 +283,8 @@ fn kill_mid_allocation_conserves_budget_reservations_simulated() {
     );
     let platform = sim.platform();
     let budget = Arc::new(MemBudget::new(&platform, 8));
-    let queue = Algorithm::SegBatched.build_with_budget(&platform, 64, Some(Arc::clone(&budget)));
+    let queue =
+        Algorithm::SegBatched.build_with_budget(&platform, 64, Some(Arc::clone(&budget)), false);
     // The residency floor: the dummy segment's unit, held for the queue's
     // whole lifetime.
     let floor = budget.reserved();
@@ -746,7 +747,7 @@ fn kill_while_holding_each_lock_is_repaired_across_16_seeds() {
 fn kill_and_record_repaired(cfg: SimConfig, algorithm: Algorithm, label: &'static str) -> History {
     let seed = cfg.seed;
     let sim = Simulation::with_faults(cfg, FaultPlan::new().kill_at_label(0, label, 0));
-    let queue = algorithm.build_repairable(&sim.platform(), 64);
+    let queue = algorithm.build_with_budget(&sim.platform(), 64, None, true);
     let recorder = Recorder::new();
     let handles: Vec<_> = (0..3).map(|p| Some(recorder.handle(p))).collect();
     let handles = Arc::new(Mutex::new(handles));
@@ -925,7 +926,7 @@ fn rerevocation_chain_and_record(cfg: SimConfig) -> History {
         .kill_at_label(3, "single-lock:repair:window", 0);
     let sim = Simulation::with_faults(cfg, plan);
     let platform = sim.platform();
-    let queue = Algorithm::SingleLock.build_repairable(&platform, 64);
+    let queue = Algorithm::SingleLock.build_with_budget(&platform, 64, None, true);
     let recorder = Recorder::new();
     let handles: Vec<_> = (0..4).map(|p| Some(recorder.handle(p))).collect();
     let handles = Arc::new(Mutex::new(handles));

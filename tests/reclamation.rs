@@ -384,7 +384,8 @@ fn two_lock_budget_attaches_through_the_registry() {
     let platform = NativePlatform::new();
     let budget = Arc::new(MemBudget::new(&platform, 1 << 20));
     let before = budget.reserved();
-    let q = Algorithm::NewTwoLock.build_with_budget(&platform, 31, Some(Arc::clone(&budget)));
+    let q =
+        Algorithm::NewTwoLock.build_with_budget(&platform, 31, Some(Arc::clone(&budget)), false);
     assert!(
         budget.reserved() >= before + 32,
         "registry-built two-lock reserves its pool"
@@ -477,10 +478,10 @@ fn repair_discarded_node_returns_to_the_arena_and_budget() {
     );
     let platform = sim.platform();
     let budget = Arc::new(MemBudget::new(&platform, 5));
-    let queue = Arc::new(RepairableSingleLockQueue::with_capacity_and_budget(
+    let queue = Arc::new(RepairableSingleLockQueue::new(
         &platform,
         4,
-        Arc::clone(&budget),
+        Some(Arc::clone(&budget)),
     ));
     assert_eq!(budget.reserved(), 5, "capacity + dummy reserved up front");
     let report = sim.run({
