@@ -51,14 +51,12 @@ impl<P: Platform> NodeArena<P> {
     pub fn new(platform: &P, capacity: u32) -> Self {
         assert!(capacity > 0, "arena capacity must be positive");
         assert!(capacity < NULL_INDEX, "capacity must fit a tagged index");
-        let values = (0..capacity).map(|_| platform.alloc_cell(0)).collect();
+        let values = platform.alloc_cells(std::iter::repeat_n(0, capacity as usize));
         // Thread the free list: node i links to i + 1, the last to NULL.
-        let nexts: Vec<P::Cell> = (0..capacity)
-            .map(|i| {
-                let next = if i + 1 < capacity { i + 1 } else { NULL_INDEX };
-                platform.alloc_cell(Tagged::new(next, 0).raw())
-            })
-            .collect();
+        let nexts = platform.alloc_cells((0..capacity).map(|i| {
+            let next = if i + 1 < capacity { i + 1 } else { NULL_INDEX };
+            Tagged::new(next, 0).raw()
+        }));
         let free_top = platform.alloc_cell(Tagged::new(0, 0).raw());
         NodeArena {
             values,

@@ -121,27 +121,21 @@ impl<P: Platform> SegArena<P> {
             "segment count must fit a tagged index"
         );
         let slots = (seg_count as usize) * (seg_size as usize);
-        let states = (0..slots)
-            .map(|_| platform.alloc_cell(Tagged::new(0, 0).raw()))
-            .collect();
-        let values = (0..slots).map(|_| platform.alloc_cell(0)).collect();
-        let enq_counts = (0..seg_count)
-            .map(|_| platform.alloc_cell(Tagged::new(0, 0).raw()))
-            .collect();
-        let deq_idxs = (0..seg_count)
-            .map(|_| platform.alloc_cell(Tagged::new(0, 0).raw()))
-            .collect();
-        let prefills = (0..seg_count)
-            .map(|_| platform.alloc_cell(Tagged::new(0, 0).raw()))
-            .collect();
+        let zeroed = |count| platform.alloc_cells(std::iter::repeat_n(0, count));
+        let fresh =
+            |count| platform.alloc_cells(std::iter::repeat_n(Tagged::new(0, 0).raw(), count));
+        let segs = seg_count as usize;
+        let states = fresh(slots);
+        let values = zeroed(slots);
+        let enq_counts = fresh(segs);
+        let deq_idxs = fresh(segs);
+        let prefills = fresh(segs);
         // Thread the free list: segment i links to i + 1, the last to NULL.
-        let nexts: Vec<P::Cell> = (0..seg_count)
-            .map(|i| {
-                let next = if i + 1 < seg_count { i + 1 } else { NULL_INDEX };
-                platform.alloc_cell(Tagged::new(next, 0).raw())
-            })
-            .collect();
-        let gens = (0..seg_count).map(|_| platform.alloc_cell(0)).collect();
+        let nexts = platform.alloc_cells((0..seg_count).map(|i| {
+            let next = if i + 1 < seg_count { i + 1 } else { NULL_INDEX };
+            Tagged::new(next, 0).raw()
+        }));
+        let gens = zeroed(segs);
         let free_top = platform.alloc_cell(Tagged::new(0, 0).raw());
         SegArena {
             states,

@@ -44,7 +44,7 @@ impl<P: Platform> RcArena<P> {
     /// Panics if `capacity` is 0 or does not fit a tagged index.
     pub fn new(platform: &P, capacity: u32) -> Self {
         let arena = NodeArena::new(platform, capacity);
-        let refs = (0..capacity).map(|_| platform.alloc_cell(1)).collect();
+        let refs = platform.alloc_cells(std::iter::repeat_n(1, capacity as usize));
         RcArena { arena, refs }
     }
 
@@ -62,7 +62,7 @@ impl<P: Platform> RcArena<P> {
         budget: std::sync::Arc<crate::MemBudget<P>>,
     ) -> Self {
         let arena = NodeArena::with_budget(platform, capacity, budget);
-        let refs = (0..capacity).map(|_| platform.alloc_cell(1)).collect();
+        let refs = platform.alloc_cells(std::iter::repeat_n(1, capacity as usize));
         RcArena { arena, refs }
     }
 

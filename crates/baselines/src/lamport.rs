@@ -42,7 +42,7 @@ impl<P: Platform> LamportQueue<P> {
     pub fn with_capacity(platform: &P, capacity: u32) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         LamportQueue {
-            buffer: (0..capacity).map(|_| platform.alloc_cell(0)).collect(),
+            buffer: platform.alloc_cells(std::iter::repeat_n(0, capacity as usize)),
             head: platform.alloc_cell(0),
             tail: platform.alloc_cell(0),
         }

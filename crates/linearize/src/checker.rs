@@ -3,18 +3,19 @@
 use std::collections::HashSet;
 
 use crate::history::{Event, Operation};
-use crate::spec::SequentialQueue;
 
 /// Decides whether `events` is linearizable with respect to the sequential
 /// FIFO queue specification.
 ///
 /// Implements the Wing–Gong search: repeatedly pick a *minimal* pending
-/// operation (one whose invocation precedes every pending response), apply
-/// it to the specification, and backtrack on mismatch. Memoizes
-/// `(completed-set, spec-state)` pairs, which makes typical histories of a
-/// few dozen events tractable; the search is exponential in the worst
-/// case, so callers keep histories small (the integration tests use
-/// windows of ≤ 20 operations).
+/// operation (one whose real-time predecessors have all been linearized),
+/// apply it to the specification, and backtrack on mismatch. Candidates
+/// are tried in response order, which linearizes a correct queue's
+/// history with little or no backtracking. Memoizes the
+/// `(completed-set, spec-state)` pairs that failed, which makes typical
+/// histories of a few dozen events tractable; the search is exponential
+/// in the worst case, so callers keep histories small (the integration
+/// tests use windows of ≤ 20 operations).
 ///
 /// # Panics
 ///
@@ -33,52 +34,117 @@ use crate::spec::SequentialQueue;
 /// assert!(is_linearizable_queue(&history));
 /// ```
 pub fn is_linearizable_queue(events: &[Event]) -> bool {
-    assert!(events.len() <= 64, "history too large for exhaustive check");
-    if events.is_empty() {
-        return true;
-    }
-    let mut memo = HashSet::new();
-    search(events, 0, &SequentialQueue::new(), &mut memo)
+    assert!(
+        events.len() <= MAX_EVENTS,
+        "history too large for exhaustive check"
+    );
+    events.is_empty() || Search::new(events).search(0)
 }
 
-fn search(
-    events: &[Event],
-    done: u64,
-    spec: &SequentialQueue,
-    memo: &mut HashSet<(u64, Vec<u64>)>,
-) -> bool {
-    if done.count_ones() as usize == events.len() {
-        return true;
-    }
-    if !memo.insert((done, spec.items().collect())) {
-        return false; // already explored this configuration
-    }
-    // A pending op is minimal if its invocation precedes every pending
-    // response; only minimal ops may be linearized next.
-    let min_pending_return = events
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| done & (1 << i) == 0)
-        .map(|(_, e)| e.returned_at)
-        .min()
-        .expect("at least one pending");
-    for (i, event) in events.iter().enumerate() {
-        if done & (1 << i) != 0 || event.invoked_at > min_pending_return {
-            continue;
-        }
-        let mut next_spec = spec.clone();
-        let consistent = match event.operation {
-            Operation::Enqueue(v) => {
-                next_spec.enqueue(v);
-                true
+/// Most events a history may hold: one bit each in a `u64` done mask.
+const MAX_EVENTS: usize = 64;
+
+/// One depth-first search over a history, with the specification queue
+/// kept in place and undone on backtrack instead of cloned per branch.
+struct Search<'a> {
+    events: &'a [Event],
+    /// Bit `j` of `preds[i]`: event `j` returned before event `i` was
+    /// invoked, so `i` may be linearized only after `j`.
+    preds: [u64; MAX_EVENTS],
+    /// Event indices in response order: the order candidates are tried.
+    order: [u8; MAX_EVENTS],
+    /// The queue, as enqueue indices in `queue[head..tail]`. A path
+    /// enqueues each event at most once, so the slots never wrap, and a
+    /// dequeue is undone by stepping `head` back over its intact slot.
+    queue: [u8; MAX_EVENTS],
+    head: usize,
+    tail: usize,
+    /// States, as the done mask and the queue's enqueue indices, whose
+    /// every continuation failed. A state cannot recur on its own path
+    /// (the mask only grows), so each revisit is a finished failure.
+    failed: HashSet<(u64, Vec<u8>)>,
+}
+
+impl<'a> Search<'a> {
+    fn new(events: &'a [Event]) -> Self {
+        let mut preds = [0; MAX_EVENTS];
+        for (pred, event) in preds.iter_mut().zip(events) {
+            for (j, other) in events.iter().enumerate() {
+                if other.returned_at < event.invoked_at {
+                    *pred |= 1 << j;
+                }
             }
-            Operation::Dequeue(expected) => next_spec.dequeue() == expected,
-        };
-        if consistent && search(events, done | (1 << i), &next_spec, memo) {
+        }
+        let mut order = [0; MAX_EVENTS];
+        for (slot, i) in order.iter_mut().zip(0..) {
+            *slot = i;
+        }
+        order[..events.len()].sort_by_key(|&i| events[usize::from(i)].returned_at);
+        Search {
+            events,
+            preds,
+            order,
+            queue: [0; MAX_EVENTS],
+            head: 0,
+            tail: 0,
+            failed: HashSet::new(),
+        }
+    }
+
+    fn search(&mut self, done: u64) -> bool {
+        if done.count_ones() as usize == self.events.len() {
             return true;
         }
+        if !self.failed.is_empty() && self.failed.contains(&self.key(done)) {
+            return false;
+        }
+        for k in 0..self.events.len() {
+            let i = usize::from(self.order[k]);
+            let bit = 1 << i;
+            if done & bit != 0 || self.preds[i] & !done != 0 {
+                continue;
+            }
+            let next = done | bit;
+            match self.events[i].operation {
+                Operation::Enqueue(_) => {
+                    self.queue[self.tail] = self.order[k];
+                    self.tail += 1;
+                    if self.search(next) {
+                        return true;
+                    }
+                    self.tail -= 1;
+                }
+                Operation::Dequeue(None) => {
+                    if self.head == self.tail && self.search(next) {
+                        return true;
+                    }
+                }
+                Operation::Dequeue(Some(value)) => {
+                    if self.head < self.tail && self.front() == value {
+                        self.head += 1;
+                        if self.search(next) {
+                            return true;
+                        }
+                        self.head -= 1;
+                    }
+                }
+            }
+        }
+        self.failed.insert(self.key(done));
+        false
     }
-    false
+
+    /// The value at the head of the (non-empty) queue.
+    fn front(&self) -> u64 {
+        match self.events[usize::from(self.queue[self.head])].operation {
+            Operation::Enqueue(value) => value,
+            Operation::Dequeue(_) => unreachable!("the queue holds enqueues"),
+        }
+    }
+
+    fn key(&self, done: u64) -> (u64, Vec<u8>) {
+        (done, self.queue[self.head..self.tail].to_vec())
+    }
 }
 
 #[cfg(test)]

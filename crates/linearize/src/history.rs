@@ -1,6 +1,6 @@
 //! Recorded histories and the fast whole-history safety checks.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One completed queue operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +101,10 @@ impl History {
     /// be meaningful (the harness guarantees this by construction).
     pub fn check_queue_safety(&self) -> Vec<Violation> {
         let mut violations = Vec::new();
-        let mut enqueued: HashMap<u64, &Event> = HashMap::new();
+        // Ordered maps: a checked window holds a handful of values, which
+        // a B-tree finds faster than SipHash hashes them. The order never
+        // reaches the result while timestamps are distinct.
+        let mut enqueued: BTreeMap<u64, &Event> = BTreeMap::new();
         let mut enqueue_count = 0usize;
         for event in &self.events {
             if let Operation::Enqueue(v) = event.operation {
@@ -109,7 +112,7 @@ impl History {
                 enqueue_count += 1;
             }
         }
-        let mut dequeued: HashMap<u64, &Event> = HashMap::new();
+        let mut dequeued: BTreeMap<u64, &Event> = BTreeMap::new();
         let mut dequeue_count = 0usize;
         for event in &self.events {
             if let Operation::Dequeue(Some(v)) = event.operation {
@@ -137,8 +140,8 @@ impl History {
     /// strictly after `deq(b)` returned.
     fn check_realtime_fifo(
         &self,
-        enqueued: &HashMap<u64, &Event>,
-        dequeued: &HashMap<u64, &Event>,
+        enqueued: &BTreeMap<u64, &Event>,
+        dequeued: &BTreeMap<u64, &Event>,
     ) -> Vec<Violation> {
         // Sort dequeued values by their enqueue completion time; a
         // violation needs enq(a).ret < enq(b).inv with deq(b).ret <

@@ -19,6 +19,8 @@
 mod checker;
 mod history;
 mod recorder;
+#[cfg(test)]
+mod reference;
 mod spec;
 
 pub use checker::is_linearizable_queue;

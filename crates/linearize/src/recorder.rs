@@ -54,10 +54,22 @@ impl Recorder {
         }
     }
 
-    /// Collects the recorded history. Call after every handle has dropped.
+    /// Collects the recorded history. Call after every handle has dropped:
+    /// a handle flushes its events only when it drops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a handle is still alive, rather than return a history
+    /// missing that handle's events.
     pub fn finish(self) -> History {
-        let events = std::mem::take(&mut *self.events.lock().expect("recorder events"));
-        History::from_events(events)
+        let events = Arc::try_unwrap(self.events).unwrap_or_else(|events| {
+            panic!(
+                "Recorder::finish called while {} RecorderHandle(s) are still alive; drop every \
+                 handle first, or their buffered events would be missing from the history",
+                Arc::strong_count(&events) - 1
+            )
+        });
+        History::from_events(events.into_inner().expect("recorder events"))
     }
 }
 
@@ -185,6 +197,17 @@ mod tests {
         assert!(h.enqueue(&q, 2).is_err());
         drop(h);
         assert_eq!(recorder.finish().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 RecorderHandle(s) are still alive")]
+    fn finishing_with_a_live_handle_panics() {
+        let q = WordMsQueue::with_capacity(&NativePlatform::new(), 8);
+        let recorder = Recorder::new();
+        let mut h = recorder.handle(0);
+        h.enqueue(&q, 1).unwrap();
+        let _history = recorder.finish();
+        drop(h);
     }
 
     #[test]

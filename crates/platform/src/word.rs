@@ -73,6 +73,22 @@ pub trait Platform: Clone + Send + Sync + Sized + 'static {
     /// simulated time for it.
     fn alloc_cell(&self, init: u64) -> Self::Cell;
 
+    /// Allocates one cell per value of `inits`, in order: the cells (and,
+    /// in the simulator, their ids) that one [`Platform::alloc_cell`] call
+    /// per value would return.
+    ///
+    /// Node pools and ring buffers allocate their cells as arrays through
+    /// this method. The default calls `alloc_cell` once per value; the
+    /// simulator overrides it to take its core lock once per array during
+    /// setup, where an `inits` that uses the platform panics. Like
+    /// `alloc_cell` it is untimed.
+    fn alloc_cells(&self, inits: impl IntoIterator<Item = u64>) -> Vec<Self::Cell> {
+        inits
+            .into_iter()
+            .map(|init| self.alloc_cell(init))
+            .collect()
+    }
+
     /// Burns `nanos` nanoseconds without touching shared memory.
     ///
     /// Used for bounded exponential backoff and for the workload's ~6 µs

@@ -828,7 +828,8 @@ impl SimShared {
             Err(TryLockError::WouldBlock) => panic!(
                 "msq-sim single-owner rule: a running simulation is owned by the thread inside \
                  `Simulation::run`, and only its own processes may use its cells and platform \
-                 until the run returns"
+                 until the run returns (nor may the values `alloc_cells` pulls during setup use \
+                 them)"
             ),
             Err(TryLockError::Poisoned(_)) => panic!("sim lock poisoned by an earlier panic"),
         }
@@ -850,6 +851,21 @@ impl SimShared {
 
     pub fn alloc_cell(&self, init: u64) -> u32 {
         self.access(|core| core.alloc_cell(init))
+    }
+
+    /// Allocates one cell per value of `inits`, handing each new id to
+    /// `each` in order: the ids that one [`SimShared::alloc_cell`] call per
+    /// value would return. Setup takes the lock once for the whole array,
+    /// so there `inits` must not use this simulation (the nested call
+    /// panics); a process of the run allocates value by value, so `inits`
+    /// never runs inside a core borrow.
+    pub fn alloc_cells(&self, inits: impl Iterator<Item = u64>, mut each: impl FnMut(u32)) {
+        if self.bound().is_some() {
+            inits.for_each(|init| each(self.with_core(|core| core.alloc_cell(init))));
+        } else {
+            let mut core = self.setup();
+            inits.for_each(|init| each(core.alloc_cell(init)));
+        }
     }
 
     /// Returns the death-notice cell (allocating it on first use).

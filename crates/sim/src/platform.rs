@@ -79,6 +79,21 @@ impl Platform for SimPlatform {
         }
     }
 
+    fn alloc_cells(&self, inits: impl IntoIterator<Item = u64>) -> Vec<SimCell> {
+        let inits = inits.into_iter();
+        // The array before the core's cell table grows, as with one
+        // `alloc_cell` per value: the heap layout, and with it the host's
+        // page faults, stays what it was.
+        let mut cells = Vec::with_capacity(inits.size_hint().0);
+        self.shared.alloc_cells(inits, |id| {
+            cells.push(SimCell {
+                id,
+                shared: Arc::clone(&self.shared),
+            });
+        });
+        cells
+    }
+
     fn delay(&self, nanos: u64) {
         // Outside the simulation, delay is free: setup time is untimed.
         self.shared.delay(nanos);
@@ -255,6 +270,120 @@ mod tests {
         assert_eq!(report.latencies.len(), 1);
         assert_eq!(report.latencies[0].latency_ns(), 100);
         assert_eq!(report.total_ops, 0, "stamps and clock reads are free");
+    }
+
+    #[test]
+    fn alloc_cells_returns_what_one_alloc_cell_per_value_would() {
+        let inits = [3, 1, 4, 1, 5];
+        let batched = Simulation::new(SimConfig::default()).platform();
+        let single = Simulation::new(SimConfig::default()).platform();
+        let lead = (batched.alloc_cell(7), single.alloc_cell(7));
+        assert_eq!(lead.0.id, lead.1.id);
+        let cells = batched.alloc_cells(inits);
+        let one_by_one: Vec<_> = inits.iter().map(|&init| single.alloc_cell(init)).collect();
+        let ids = |cells: &[SimCell]| cells.iter().map(|c| c.id).collect::<Vec<_>>();
+        assert_eq!(ids(&cells), ids(&one_by_one));
+        let values: Vec<u64> = cells.iter().map(SimCell::load).collect();
+        assert_eq!(values, inits);
+        assert_eq!(batched.alloc_cell(0).id, single.alloc_cell(0).id);
+    }
+
+    #[test]
+    fn alloc_cells_of_nothing_allocates_nothing() {
+        let p = Simulation::new(SimConfig::default()).platform();
+        assert!(p.alloc_cells(std::iter::empty()).is_empty());
+        assert_eq!(p.alloc_cell(0).id, 0);
+    }
+
+    #[test]
+    fn alloc_cells_inside_a_process_is_untimed() {
+        let run = |batched: bool| {
+            let sim = Simulation::new(SimConfig::default());
+            let p = sim.platform();
+            let counter = std::sync::Arc::new(p.alloc_cell(0));
+            sim.run({
+                let counter = std::sync::Arc::clone(&counter);
+                move |_| {
+                    counter.fetch_add(1);
+                    let cells = if batched {
+                        p.alloc_cells([2, 4, 6])
+                    } else {
+                        [2, 4, 6].map(|init| p.alloc_cell(init)).into()
+                    };
+                    assert_eq!(cells.iter().map(|c| c.id).collect::<Vec<_>>(), [1, 2, 3]);
+                    counter.fetch_add(1);
+                }
+            })
+        };
+        let (batched, single) = (run(true), run(false));
+        assert_eq!(batched.total_ops, 2, "allocation is not an op");
+        assert_eq!(batched.elapsed_ns, single.elapsed_ns);
+        assert_eq!(format!("{batched:?}"), format!("{single:?}"));
+    }
+
+    #[test]
+    fn alloc_cells_from_another_thread_during_a_run_panics() {
+        let sim = Simulation::new(SimConfig {
+            processors: 2,
+            ..SimConfig::default()
+        });
+        let p = sim.platform();
+        let cell = std::sync::Arc::new(p.alloc_cell(0));
+        sim.run({
+            let cell = std::sync::Arc::clone(&cell);
+            move |info| {
+                cell.fetch_add(1);
+                if info.pid == 1 {
+                    let joined = std::thread::scope(|s| {
+                        s.spawn(|| p.alloc_cells(std::iter::repeat_n(0, 3))).join()
+                    });
+                    let payload = joined.expect_err("an allocation from another thread must panic");
+                    let message = payload.downcast_ref::<&str>().expect("a literal message");
+                    assert!(message.contains("single-owner rule"), "{message}");
+                }
+            }
+        });
+        assert_eq!(cell.load(), 2);
+    }
+
+    #[test]
+    fn alloc_cells_whose_values_use_the_platform_panics_during_setup() {
+        let p = Simulation::new(SimConfig::default()).platform();
+        let nested = std::panic::catch_unwind(|| {
+            p.alloc_cells((0..3).inspect(|_| {
+                p.alloc_cell(0);
+            }))
+        });
+        let payload = nested.expect_err("a nested allocation during setup must panic");
+        let message = payload.downcast_ref::<&str>().expect("a literal message");
+        assert!(message.contains("`alloc_cells`"), "{message}");
+    }
+
+    #[test]
+    fn alloc_cells_whose_values_use_the_platform_works_inside_a_process() {
+        let sim = Simulation::new(SimConfig {
+            processors: 2,
+            ..SimConfig::default()
+        });
+        let p = sim.platform();
+        let counter = std::sync::Arc::new(p.alloc_cell(0));
+        sim.run({
+            let (p, counter) = (p.clone(), std::sync::Arc::clone(&counter));
+            move |_| {
+                // Each value takes a timed op, which may pass the token to
+                // the other process, and an allocation of its own.
+                let cells = p.alloc_cells((0..3).map(|i| {
+                    counter.fetch_add(1);
+                    p.alloc_cell(i).load() + 10
+                }));
+                assert_eq!(
+                    cells.iter().map(SimCell::load).collect::<Vec<_>>(),
+                    [10, 11, 12]
+                );
+            }
+        });
+        assert_eq!(counter.load(), 6);
+        assert_eq!(p.alloc_cell(0).id, 13, "one counter and 2 x 6 cells");
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl<P: Platform> RepairMode<P> for Repair {
     }
 
     fn alloc_cells(platform: &P, count: usize) -> Vec<P::Cell> {
-        (0..count).map(|_| platform.alloc_cell(0)).collect()
+        platform.alloc_cells(std::iter::repeat_n(0, count))
     }
 
     fn cells(cells: &Vec<P::Cell>) -> &[P::Cell] {
