@@ -15,9 +15,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use msq_baselines::SingleLockQueue;
 use msq_core::{MsQueue, WordMsQueue, WordSegQueue, WordTwoLockQueue};
-use msq_harness::WorkloadConfig;
-use msq_platform::{BackoffConfig, ConcurrentWordQueue, NativePlatform, Platform};
-use msq_sim::{SimConfig, Simulation};
+use msq_harness::{run_scenario_simulated, Algorithm, PairedScenario, WorkloadConfig};
+use msq_platform::{BackoffConfig, ConcurrentWordQueue, NativePlatform};
+use msq_sim::{FaultPlan, SimConfig, Simulation};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -138,34 +138,28 @@ fn other_work_sensitivity(c: &mut Criterion) {
     // the other-work knob at fixed contention.
     let mut group = c.benchmark_group("other_work_sensitivity");
     group.sample_size(10);
+    let config = SimConfig {
+        processors: 4,
+        ..SimConfig::default()
+    };
     for other_work_ns in [0_u64, 2_000, 6_000, 12_000] {
+        let scenario = PairedScenario {
+            workload: WorkloadConfig {
+                pairs_total: 200,
+                other_work_ns,
+                capacity: 1_024,
+                mem_budget: None,
+            },
+        };
         group.bench_function(format!("ms-nonblocking/{other_work_ns}ns"), |b| {
             b.iter(|| {
-                let sim = Simulation::new(SimConfig {
-                    processors: 4,
-                    ..SimConfig::default()
-                });
-                let platform = sim.platform();
-                let queue = Arc::new(WordMsQueue::with_capacity(&platform, 1_024));
-                let workload = WorkloadConfig {
-                    pairs_total: 200,
-                    other_work_ns,
-                    capacity: 1_024,
-                    mem_budget: None,
-                };
-                let report = sim.run({
-                    let queue = Arc::clone(&queue);
-                    let platform = platform.clone();
-                    move |info| {
-                        for i in 0..workload.pairs_total / 4 {
-                            queue.enqueue((info.pid as u64) << 32 | i).unwrap();
-                            platform.delay(workload.other_work_ns);
-                            while queue.dequeue().is_none() {}
-                            platform.delay(workload.other_work_ns);
-                        }
-                    }
-                });
-                black_box(report.elapsed_ns)
+                let out = run_scenario_simulated(
+                    Algorithm::NewNonBlocking,
+                    config,
+                    scenario,
+                    FaultPlan::new(),
+                );
+                black_box(out.point.point.elapsed_ns)
             })
         });
     }

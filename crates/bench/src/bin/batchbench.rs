@@ -27,9 +27,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use msq_harness::{run_simulated_batched, Algorithm, WorkloadConfig};
+use msq_harness::{run_scenario_simulated, Algorithm, BatchedScenario, WorkloadConfig};
 use msq_platform::NativePlatform;
-use msq_sim::{SimConfig, Simulation};
+use msq_sim::{FaultPlan, SimConfig, Simulation};
 
 /// Values each simulated process enqueues in the misses/enqueue cells.
 const SIM_ENQUEUES_PER_PROC: u64 = 512;
@@ -101,6 +101,26 @@ fn run_enqueue_cell(
         misses_per_enqueue: report.cache_misses as f64 / enqueues as f64,
         cas_failures: report.cas_failures,
     }
+}
+
+/// The batch-mode workload in rounds of `HEADLINE_BATCH` on a dedicated
+/// simulated machine.
+fn batched_point(
+    algorithm: Algorithm,
+    processors: usize,
+    workload: WorkloadConfig,
+) -> msq_harness::MeasuredPoint {
+    let scenario = BatchedScenario {
+        workload,
+        batch: HEADLINE_BATCH,
+    };
+    let config = SimConfig {
+        processors,
+        ..SimConfig::default()
+    };
+    run_scenario_simulated(algorithm, config, scenario, FaultPlan::new())
+        .point
+        .point
 }
 
 /// Native single-thread batch round-trip: enqueue a batch, drain it back.
@@ -190,15 +210,7 @@ fn main() {
     ];
     let mut workload_cells = Vec::new();
     for algorithm in workload_contenders {
-        let point = run_simulated_batched(
-            algorithm,
-            SimConfig {
-                processors: 8,
-                ..SimConfig::default()
-            },
-            &workload,
-            HEADLINE_BATCH,
-        );
+        let point = batched_point(algorithm, 8, workload);
         eprintln!(
             "sim 8p batch-{HEADLINE_BATCH} workload {:<16} {} virtual ns, {} CAS failures",
             algorithm.label(),
@@ -223,15 +235,7 @@ fn main() {
     let mut sweep_cells = Vec::new();
     for &processors in sweep_processors {
         for algorithm in workload_contenders {
-            let point = run_simulated_batched(
-                algorithm,
-                SimConfig {
-                    processors,
-                    ..SimConfig::default()
-                },
-                &workload,
-                HEADLINE_BATCH,
-            );
+            let point = batched_point(algorithm, processors, workload);
             eprintln!(
                 "sim {}p batch-{HEADLINE_BATCH} sweep {:<16} {} virtual ns",
                 processors,

@@ -38,14 +38,11 @@
 //! `--smoke` for a scaled-down CI sanity run (same cells, same shape).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use msq_harness::{
-    run_simulated_faulted, run_simulated_recovered, run_simulated_repaired, Algorithm,
-    WorkloadConfig,
+    run_scenario_simulated, Algorithm, PairedScenario, PolicyScenario, WorkloadConfig,
 };
-use msq_platform::Platform;
-use msq_sim::{FaultPlan, RecoveryPolicy, SimConfig, Simulation};
+use msq_sim::{FaultPlan, RecoveryPolicy, SimConfig};
 
 /// Simulated processors (dedicated: one process each, as in Figure 3's
 /// machine model — the *faults* supply the adverse scheduling here).
@@ -123,34 +120,16 @@ fn stall_cell_at(
             plan = plan.stall_at_label(0, label, k * STALL_STRIDE, stall_ns);
         }
     }
-    let sim = Simulation::with_faults(
-        SimConfig {
-            processors,
-            ..SimConfig::default()
-        },
-        plan,
-    );
-    let platform = sim.platform();
-    let queue = algorithm.build(&platform, 4_096);
-    let report = sim.run({
-        let queue = Arc::clone(&queue);
-        let platform = platform.clone();
-        move |info| {
-            let n = info.num_processes as u64;
-            let my_pairs = pairs / n + u64::from((info.pid as u64) < pairs % n);
-            for i in 0..my_pairs {
-                let value = ((info.pid as u64) << 40) | i;
-                while queue.enqueue(value).is_err() {
-                    platform.cpu_relax();
-                }
-                platform.delay(OTHER_WORK_NS);
-                while queue.dequeue().is_none() {
-                    platform.cpu_relax();
-                }
-                platform.delay(OTHER_WORK_NS);
-            }
-        }
-    });
+    let config = SimConfig {
+        processors,
+        ..SimConfig::default()
+    };
+    let scenario = PairedScenario {
+        workload: workload(pairs),
+    };
+    let report = run_scenario_simulated(algorithm, config, scenario, plan)
+        .sim_report
+        .expect("simulated runs carry a report");
     let survivor_completion_ns = report
         .per_process
         .iter()
@@ -164,6 +143,17 @@ fn stall_cell_at(
         elapsed_ns: report.elapsed_ns,
         survivor_completion_ns,
         stalls_fired: report.stalls_injected,
+    }
+}
+
+/// The Section 4 workload every cell runs: `pairs` pairs with the
+/// paper's other work.
+fn workload(pairs: u64) -> WorkloadConfig {
+    WorkloadConfig {
+        pairs_total: pairs,
+        other_work_ns: OTHER_WORK_NS,
+        capacity: 4_096,
+        mem_budget: None,
     }
 }
 
@@ -270,29 +260,20 @@ fn main() {
     };
 
     // --- Cell 2: death in the critical window. ---
-    let workload = WorkloadConfig {
-        pairs_total: pairs,
-        other_work_ns: OTHER_WORK_NS,
-        capacity: 4_096,
-        mem_budget: None,
-    };
     let faulted_cfg = SimConfig {
         processors: PROCESSORS,
         watchdog_ns: WATCHDOG_NS,
         ..SimConfig::default()
     };
-    let kill_ms = run_simulated_faulted(
-        Algorithm::NewNonBlocking,
-        faulted_cfg,
-        &workload,
-        FaultPlan::new().kill_at_label(0, Algorithm::NewNonBlocking.enqueue_fault_label(), 0),
-    );
-    let kill_lock = run_simulated_faulted(
-        Algorithm::SingleLock,
-        faulted_cfg,
-        &workload,
-        FaultPlan::new().kill_at_label(0, Algorithm::SingleLock.enqueue_fault_label(), 0),
-    );
+    let killed_in_enqueue = |algorithm: Algorithm| {
+        let plan = FaultPlan::new().kill_at_label(0, algorithm.enqueue_fault_label(), 0);
+        let scenario = PairedScenario {
+            workload: workload(pairs),
+        };
+        run_scenario_simulated(algorithm, faulted_cfg, scenario, plan).point
+    };
+    let kill_ms = killed_in_enqueue(Algorithm::NewNonBlocking);
+    let kill_lock = killed_in_enqueue(Algorithm::SingleLock);
     eprintln!(
         "kill new-nonblocking: killed {:?}, blocked {:?}, drained {:?}, {} pairs completed",
         kill_ms.killed, kill_ms.blocked, kill_ms.drained, kill_ms.pairs_completed
@@ -310,19 +291,19 @@ fn main() {
     // residual pairs, a positive time-to-recover is stamped); on the
     // lock-based queues the dead H_lock holder wedges everyone and the
     // watchdog flags the run instead. ---
+    let policy = |repairable| PolicyScenario {
+        workload: workload(pairs),
+        policy: RecoveryPolicy::designated(0),
+        repairable,
+    };
     struct RecoveryCell {
         algorithm: Algorithm,
         point: msq_harness::FaultedPoint,
     }
     let mut recovery_cells: Vec<RecoveryCell> = Vec::new();
     for algorithm in Algorithm::WITH_EXTENSIONS {
-        let point = run_simulated_recovered(
-            algorithm,
-            faulted_cfg,
-            &workload,
-            FaultPlan::new().kill_at_label(1, algorithm.dequeue_fault_label(), 0),
-            RecoveryPolicy::designated(0),
-        );
+        let plan = FaultPlan::new().kill_at_label(1, algorithm.dequeue_fault_label(), 0);
+        let point = run_scenario_simulated(algorithm, faulted_cfg, policy(false), plan).point;
         eprintln!(
             "recovery {:<16} killed {:?}, blocked {:?}, recovered {} pairs, ttr {:?} ns",
             algorithm.label(),
@@ -357,13 +338,8 @@ fn main() {
     ];
     let mut repair_cells: Vec<RepairCell> = Vec::new();
     for (algorithm, kill_label) in REPAIR_KILLS {
-        let point = run_simulated_repaired(
-            algorithm,
-            faulted_cfg,
-            &workload,
-            FaultPlan::new().kill_at_label(1, kill_label, 0),
-            RecoveryPolicy::designated(0),
-        );
+        let plan = FaultPlan::new().kill_at_label(1, kill_label, 0);
+        let point = run_scenario_simulated(algorithm, faulted_cfg, policy(true), plan).point;
         eprintln!(
             "repair {:<16} @ {:<24} killed {:?}, blocked {:?}, verdict {:?}, ttr {:?} ns",
             algorithm.label(),
@@ -405,13 +381,7 @@ fn main() {
             for pid in 1..=victims {
                 plan = plan.kill_at_label(pid, kill_label, 0);
             }
-            let point = run_simulated_repaired(
-                algorithm,
-                faulted_cfg,
-                &workload,
-                plan,
-                RecoveryPolicy::designated(0),
-            );
+            let point = run_scenario_simulated(algorithm, faulted_cfg, policy(true), plan).point;
             eprintln!(
                 "multi-repair {:<16} victims {}: killed {:?}, repairs {}, slowest ttr {:?} ns",
                 algorithm.label(),

@@ -32,9 +32,11 @@ use std::sync::Arc;
 
 use msq_arena::MemBudget;
 use msq_core::WordSegQueue;
-use msq_harness::{run_simulated_batched, Algorithm, MeasuredPoint, WorkloadConfig};
+use msq_harness::{
+    run_scenario_simulated, Algorithm, BatchedScenario, MeasuredPoint, WorkloadConfig,
+};
 use msq_platform::{ConcurrentWordQueue, QueueFull};
-use msq_sim::{SimConfig, Simulation};
+use msq_sim::{FaultPlan, SimConfig, Simulation};
 
 /// Pairs moved by the simulated batch-mode workload cells.
 const SIM_WORKLOAD_PAIRS: u64 = 1_600;
@@ -57,20 +59,22 @@ fn workload_cell(
     pairs: u64,
     mem_budget: Option<u64>,
 ) -> MeasuredPoint {
-    run_simulated_batched(
-        algorithm,
-        SimConfig {
-            processors,
-            ..SimConfig::default()
-        },
-        &WorkloadConfig {
+    let scenario = BatchedScenario {
+        workload: WorkloadConfig {
             pairs_total: pairs,
             other_work_ns: 6_000, // the paper's Section 4 workload
             capacity: 4_096,
             mem_budget,
         },
-        HEADLINE_BATCH,
-    )
+        batch: HEADLINE_BATCH,
+    };
+    let config = SimConfig {
+        processors,
+        ..SimConfig::default()
+    };
+    run_scenario_simulated(algorithm, config, scenario, FaultPlan::new())
+        .point
+        .point
 }
 
 struct TinyCell {

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use msq_harness::{
-    run_scenario_simulated, run_simulated, Algorithm, FaultedPoint, PairedScenario, WorkloadConfig,
+    figure_machine, run_scenario_simulated, Algorithm, FaultedPoint, PairedScenario, WorkloadConfig,
 };
 use msq_sim::{default_lanes, schedule_sweep_with, FaultPlan, SimConfig};
 
@@ -82,7 +82,10 @@ fn timed_sweep(lanes: usize, seeds: u64, workload: &WorkloadConfig) -> f64 {
         seeds,
         lanes,
         |cfg| {
-            run_simulated(Algorithm::NewNonBlocking, cfg, workload);
+            let scenario = PairedScenario {
+                workload: *workload,
+            };
+            run_scenario_simulated(Algorithm::NewNonBlocking, cfg, scenario, FaultPlan::new());
         },
     );
     let secs = start.elapsed().as_secs_f64();
@@ -136,21 +139,17 @@ fn completed_all(point: &FaultedPoint, pairs: u64) -> bool {
 }
 
 /// Runs `algorithm` at `processors` x `processes_per_processor` on the
-/// machine the `figures` bin builds for `pairs` pairs: the paper's 10 ms
-/// quantum scaled by pairs / 10^6, and a context switch of 1/400 of it.
+/// machine the `figures` bin builds for `pairs` pairs ([`figure_machine`]).
 fn figure_run(
     algorithm: Algorithm,
     processors: usize,
     processes_per_processor: usize,
     pairs: u64,
 ) -> FigureRun {
-    let quantum_ns = (10_000_000 * pairs / 1_000_000).max(20_000);
     let cfg = SimConfig {
         processors,
         processes_per_processor,
-        quantum_ns,
-        ctx_switch_ns: (quantum_ns / 400).max(200),
-        ..SimConfig::default()
+        ..figure_machine(pairs, None)
     };
     let workload = WorkloadConfig {
         pairs_total: pairs,

@@ -21,8 +21,11 @@
 
 #![warn(missing_docs)]
 
-use msq_harness::{run_simulated, Algorithm, MeasuredPoint, WorkloadConfig};
-use msq_sim::SimConfig;
+use msq_harness::{
+    figure_machine, run_scenario_simulated, Algorithm, MeasuredPoint, PairedScenario,
+    WorkloadConfig,
+};
+use msq_sim::{FaultPlan, SimConfig};
 
 /// A small but contended workload sized for Criterion iteration counts.
 pub fn bench_workload() -> WorkloadConfig {
@@ -34,18 +37,14 @@ pub fn bench_workload() -> WorkloadConfig {
     }
 }
 
-/// Simulated machine for figure benches; quantum scaled with the reduced
-/// op count exactly as the `figures` binary does.
+/// Simulated machine for figure benches: the `figures` binary's machine
+/// for the bench workload (whose 500 pairs put the quantum at its 20 µs
+/// floor).
 pub fn bench_sim_config(processors: usize, processes_per_processor: usize) -> SimConfig {
-    // 10 ms scaled by pairs/10^6 would give 5 µs for the 500-pair bench
-    // workload; clamp to the harness's 20 µs floor.
-    let quantum_ns = 20_000;
     SimConfig {
         processors,
         processes_per_processor,
-        quantum_ns,
-        ctx_switch_ns: (quantum_ns / 400).max(200),
-        ..SimConfig::default()
+        ..figure_machine(bench_workload().pairs_total, None)
     }
 }
 
@@ -55,9 +54,11 @@ pub fn figure_cell(
     processors: usize,
     processes_per_processor: usize,
 ) -> MeasuredPoint {
-    run_simulated(
-        algorithm,
-        bench_sim_config(processors, processes_per_processor),
-        &bench_workload(),
-    )
+    let scenario = PairedScenario {
+        workload: bench_workload(),
+    };
+    let config = bench_sim_config(processors, processes_per_processor);
+    run_scenario_simulated(algorithm, config, scenario, FaultPlan::new())
+        .point
+        .point
 }

@@ -7,8 +7,10 @@
 //! cargo run -p msq-harness --release --bin calibrate -- [--pairs N]
 //! ```
 
-use msq_harness::{run_native, run_simulated, Algorithm, WorkloadConfig};
-use msq_sim::SimConfig;
+use msq_harness::{
+    run_scenario_native, run_scenario_simulated, Algorithm, PairedScenario, WorkloadConfig,
+};
+use msq_sim::{FaultPlan, SimConfig};
 
 fn main() {
     let mut workload = WorkloadConfig {
@@ -33,8 +35,11 @@ fn main() {
     println!("| algorithm | sim ns/pair (p=1) | sim miss rate | native ns/pair (1 thread) |");
     println!("|---|---|---|---|");
     for alg in Algorithm::ALL {
-        let sim = run_simulated(alg, SimConfig::default(), &workload);
-        let native = run_native(alg, 1, &workload);
+        let scenario = PairedScenario { workload };
+        let sim = run_scenario_simulated(alg, SimConfig::default(), scenario, FaultPlan::new())
+            .point
+            .point;
+        let native = run_scenario_native(alg, 1, scenario).point.point;
         println!(
             "| {} | {:.0} | {:.3} | {:.0} |",
             alg.label(),

@@ -16,8 +16,10 @@
 
 use std::io::Write as _;
 
-use msq_harness::{figure_spec, run_figure, run_native, Algorithm, WorkloadConfig};
-use msq_sim::SimConfig;
+use msq_harness::{
+    figure_machine, figure_spec, run_figure, run_scenario_native, Algorithm, PairedScenario,
+    WorkloadConfig,
+};
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
@@ -94,16 +96,6 @@ impl Default for Args {
     }
 }
 
-/// The paper used a 10 ms quantum against 10^6 pairs. When the op count is
-/// scaled down, scale the quantum with it so each process still lives
-/// through many quanta; otherwise multiprogramming has no effect at all.
-fn effective_quantum(args: &Args) -> u64 {
-    if args.quantum_ns != 0 {
-        return args.quantum_ns;
-    }
-    (10_000_000u64 * args.workload.pairs_total / 1_000_000).max(20_000)
-}
-
 /// Native-thread mode: a figure's multiprogramming level k at p
 /// "processors" becomes k*p OS threads; the host scheduler provides the
 /// preemption. Absolute meaning requires >= p host cores (the simulator
@@ -135,8 +127,12 @@ fn run_native_mode(args: &Args) {
         for &p in &args.processors {
             print!("| {} |", p * spec.processes_per_processor);
             for algorithm in Algorithm::ALL {
-                let point = run_native(algorithm, p * spec.processes_per_processor, &args.workload);
-                print!(" {:.3} |", point.net_secs_per_million_pairs());
+                let scenario = PairedScenario {
+                    workload: args.workload,
+                };
+                let out =
+                    run_scenario_native(algorithm, p * spec.processes_per_processor, scenario);
+                print!(" {:.3} |", out.point.point.net_secs_per_million_pairs());
                 let _ = std::io::stdout().flush();
             }
             println!();
@@ -165,12 +161,10 @@ fn main() {
         run_native_mode(&args);
         return;
     }
-    let quantum_ns = effective_quantum(&args);
-    let base = SimConfig {
-        quantum_ns,
-        ctx_switch_ns: (quantum_ns / 400).max(200), // paper ratio 25 µs : 10 ms
-        ..SimConfig::default()
-    };
+    let base = figure_machine(
+        args.workload.pairs_total,
+        (args.quantum_ns != 0).then_some(args.quantum_ns),
+    );
     for &id in &args.figures {
         let spec = figure_spec(id);
         eprintln!(

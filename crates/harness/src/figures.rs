@@ -1,9 +1,10 @@
 //! Figure sweeps and report formatting.
 
-use msq_sim::SimConfig;
+use msq_sim::{FaultPlan, SimConfig};
 
 use crate::registry::Algorithm;
-use crate::workload::{run_simulated, MeasuredPoint, WorkloadConfig};
+use crate::scenario::{run_scenario_simulated, PairedScenario};
+use crate::workload::{MeasuredPoint, WorkloadConfig};
 
 /// Which of the paper's figures to regenerate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,6 +35,21 @@ pub fn figure_spec(id: u8) -> FigureSpec {
             processes_per_processor: 3,
         },
         other => panic!("the paper has figures 3-5, not figure {other}"),
+    }
+}
+
+/// The machine the figures run on for a `pairs`-pair workload. The
+/// quantum is `quantum_ns` when given, else the paper's 10 ms scaled by
+/// `pairs` / 10^6 (at least 20 µs), so a scaled-down run still lives
+/// through many quanta and multiprogramming still bites. The context
+/// switch is 1/400 of the quantum (the paper's 25 µs : 10 ms), at least
+/// 200 ns.
+pub fn figure_machine(pairs: u64, quantum_ns: Option<u64>) -> SimConfig {
+    let quantum_ns = quantum_ns.unwrap_or((10_000_000 * pairs / 1_000_000).max(20_000));
+    SimConfig {
+        quantum_ns,
+        ctx_switch_ns: (quantum_ns / 400).max(200),
+        ..SimConfig::default()
     }
 }
 
@@ -79,7 +95,11 @@ pub fn run_figure(
                 processes_per_processor: spec.processes_per_processor,
                 ..base
             };
-            points.push(run_simulated(algorithm, sim_config, workload));
+            let scenario = PairedScenario {
+                workload: *workload,
+            };
+            let out = run_scenario_simulated(algorithm, sim_config, scenario, FaultPlan::new());
+            points.push(out.point.point);
         }
         rows.push(FigureRow { algorithm, points });
     }
@@ -165,6 +185,18 @@ mod tests {
         assert_eq!(figure_spec(3).processes_per_processor, 1);
         assert_eq!(figure_spec(4).processes_per_processor, 2);
         assert_eq!(figure_spec(5).processes_per_processor, 3);
+    }
+
+    #[test]
+    fn figure_machine_scales_the_paper_quantum() {
+        let machine = |pairs, quantum| {
+            let cfg = figure_machine(pairs, quantum);
+            (cfg.quantum_ns, cfg.ctx_switch_ns)
+        };
+        assert_eq!(machine(1_000_000, None), (10_000_000, 25_000));
+        assert_eq!(machine(20_000, None), (200_000, 500));
+        assert_eq!(machine(500, None), (20_000, 200), "both floors");
+        assert_eq!(machine(20_000, Some(40_000)), (40_000, 200));
     }
 
     #[test]

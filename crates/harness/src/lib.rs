@@ -8,13 +8,15 @@
 //! share of the other work (which exists only to keep cache-miss rates
 //! realistic).
 //!
-//! This crate drives that workload two ways:
+//! The workload is [`PairedScenario`], one [`Scenario`] among several,
+//! and one driver pair runs every scenario two ways:
 //!
-//! * [`run_simulated`] — on the `msq-sim` deterministic multiprocessor,
-//!   which is how Figures 3 (dedicated), 4 (2 processes/processor) and 5
+//! * [`run_scenario_simulated`] — on the `msq-sim` deterministic
+//!   multiprocessor, optionally under a fault plan, which is how
+//!   Figures 3 (dedicated), 4 (2 processes/processor) and 5
 //!   (3 processes/processor) are regenerated on any host;
-//! * [`run_native`] — on real threads, for per-operation costs and for
-//!   hosts with genuine parallelism.
+//! * [`run_scenario_native`] — on real threads, for per-operation costs
+//!   and for hosts with genuine parallelism.
 //!
 //! [`Algorithm`] enumerates all six queues in the paper's legend; the
 //! `figures` binary sweeps processor counts and emits the tables/CSV
@@ -27,14 +29,11 @@ mod registry;
 mod scenario;
 mod workload;
 
-pub use figures::{figure_spec, run_figure, FigureData, FigureRow, FigureSpec};
+pub use figures::{figure_machine, figure_spec, run_figure, FigureData, FigureRow, FigureSpec};
 pub use registry::Algorithm;
 pub use scenario::{
     percentile_ns, run_scenario_native, run_scenario_simulated, BatchedScenario, OpenLoopScenario,
     PairedScenario, PipelineScenario, PolicyScenario, Scenario, ScenarioCounters, ScenarioCtx,
     ScenarioOutcome, StealingScenario,
 };
-pub use workload::{
-    run_native, run_native_batched, run_simulated, run_simulated_batched, run_simulated_faulted,
-    run_simulated_recovered, run_simulated_repaired, FaultedPoint, MeasuredPoint, WorkloadConfig,
-};
+pub use workload::{FaultedPoint, MeasuredPoint, WorkloadConfig};

@@ -1,26 +1,23 @@
 //! The composable scenario engine: pluggable workload shapes over one
-//! unified driver.
+//! driver.
 //!
-//! The harness originally grew one `run_*` entry point per workload
-//! shape, each re-implementing the same plumbing — process spawn, fault
-//! and recovery wiring, budget metering, the post-run drain, and
-//! [`MeasuredPoint`]/[`FaultedPoint`] assembly. This module factors that
-//! plumbing into two drivers ([`run_scenario_simulated`] and
-//! [`run_scenario_native`]) parameterized by a [`Scenario`]: the
-//! per-process op script plus the declarative bits the driver needs
-//! (queue count, whether the blocking queues run in their crash-repair
-//! mode, setup cells, drain safety, net-time accounting, and a
-//! conservation predicate). Repair is a mode of each blocking queue, so
-//! the driver builds every queue through the one registry call,
+//! Every workload the harness runs, the paper's Section 4 pairs
+//! included, is a [`Scenario`]: the per-process op script plus the
+//! declarative bits the driver needs (queue count, whether the blocking
+//! queues run in their crash-repair mode, setup cells, net-time
+//! accounting, and a conservation predicate). [`run_scenario_simulated`]
+//! and [`run_scenario_native`] are the only code that runs one. They
+//! share one setup — budget, queues and cells, always in that order —
+//! and one post-run drain and measurement, and differ only in how the
+//! processes run: as simulated processes under a [`FaultPlan`], or as
+//! threads. Repair is a mode of each blocking queue, so the setup builds
+//! every queue through the one registry call,
 //! [`Algorithm::build_with_budget`], and passes the scenario's choice
 //! along.
 //!
-//! The legacy entry points (`run_simulated`, `run_simulated_faulted`,
-//! `run_simulated_recovered`, `run_simulated_repaired`,
-//! `run_simulated_batched`, `run_native`, `run_native_batched`) are thin
-//! wrappers over the same driver, and the `scenario_pins` integration
-//! test pins their `SimReport`s to digests recorded from the
-//! pre-refactor loops.
+//! The `scenario_pins` integration test pins the driver's `SimReport`s
+//! for the paired and policy shapes, faulted and not, to digests
+//! recorded from the hand-written loops the driver replaced.
 //!
 //! Three scenario shapes beyond the paper's ship here:
 //!
@@ -66,9 +63,8 @@ const IDLE_BACKOFF_NS: u64 = 200;
 /// Host-side counters shared by every process of a scenario run.
 ///
 /// These live outside the simulated machine: updates are ordinary Rust
-/// atomics, cost no virtual time, and are invisible to the `SimReport` —
-/// which is what lets one scenario body serve both the plain and the
-/// faulted legacy entry points byte-identically.
+/// atomics, cost no virtual time, and are invisible to the `SimReport`,
+/// so counting never perturbs a schedule.
 pub struct ScenarioCounters {
     /// Work units completed per process (a killed process's finished
     /// units still count — its closure never returns).
@@ -128,9 +124,6 @@ pub struct ScenarioCtx<'a, P: Platform> {
 /// (death notices, fault points) degrades to a no-op natively through
 /// the platform trait's defaults.
 pub trait Scenario<P: Platform>: Send + Sync + 'static {
-    /// Short label naming the scenario in reports and bench JSON.
-    fn label(&self) -> &'static str;
-
     /// The workload parameters (op count, other-work spin, capacity,
     /// budget) driving the scenario.
     fn workload(&self) -> &WorkloadConfig;
@@ -143,7 +136,9 @@ pub trait Scenario<P: Platform>: Send + Sync + 'static {
     }
 
     /// Whether queues are built in their crash-survivable repair mode
-    /// (the `repair` flag of [`Algorithm::build_with_budget`]).
+    /// (the `repair` flag of [`Algorithm::build_with_budget`]). The
+    /// simulated driver then drains the queues even after a kill on a
+    /// blocking queue: the drain itself revokes a dead holder's lock.
     fn repairable(&self) -> bool {
         false
     }
@@ -179,13 +174,6 @@ pub trait Scenario<P: Platform>: Send + Sync + 'static {
     /// for open-loop shapes whose figure of merit is latency.
     fn other_work_share(&self, processors: usize) -> u64;
 
-    /// Whether the post-run drain is safe even when the plan killed a
-    /// process on a blocking queue (queues in repair mode: the drain
-    /// itself revokes a dead holder's lock).
-    fn drain_after_kills(&self) -> bool {
-        false
-    }
-
     /// Conservation predicate, invoked by the driver after a clean run
     /// (nobody killed, nobody blocked, queue drained); panic on
     /// violation.
@@ -195,12 +183,11 @@ pub trait Scenario<P: Platform>: Send + Sync + 'static {
 }
 
 /// The result of one scenario run: the fault-aware measurement, the raw
-/// `SimReport` (simulated runs only — the equivalence tests pin it), the
+/// `SimReport` (simulated runs only — `scenario_pins` pins it), the
 /// scenario's tallies, and the sorted latency samples.
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
-    /// The measurement, in the same shape every legacy entry point
-    /// reports (native runs leave the fault fields empty).
+    /// The measurement (native runs leave the fault fields empty).
     pub point: FaultedPoint,
     /// The run's raw simulator report; `None` for native runs.
     pub sim_report: Option<SimReport>,
@@ -235,251 +222,219 @@ pub fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn build_queues<P: Platform, S: Scenario<P> + ?Sized>(
-    scenario: &S,
+/// What both drivers set up before any process runs, and read after the
+/// run. [`Setup::new`] allocates in a fixed order — the budget, the
+/// queues, then the scenario's cells — and the simulated driver takes
+/// the death board after these, so cell ids, and with them every
+/// schedule, do not move.
+struct Setup<P: Platform, S> {
     algorithm: Algorithm,
-    platform: &P,
-    n: usize,
-    budget: &Option<Arc<MemBudget<P>>>,
-) -> Vec<Arc<dyn ConcurrentWordQueue>> {
-    let workload = scenario.workload();
-    (0..scenario.num_queues(n))
-        .map(|_| {
-            algorithm.build_with_budget(
-                platform,
-                workload.capacity,
-                budget.clone(),
-                scenario.repairable(),
-            )
-        })
-        .collect()
+    scenario: S,
+    budget: Option<Arc<MemBudget<P>>>,
+    queues: Vec<Arc<dyn ConcurrentWordQueue>>,
+    cells: Vec<P::Cell>,
+    counters: ScenarioCounters,
 }
 
-fn drain_all(queues: &[Arc<dyn ConcurrentWordQueue>]) -> u64 {
-    let mut count = 0u64;
-    for queue in queues {
-        while queue.dequeue().is_some() {
-            count += 1;
+impl<P: Platform, S: Scenario<P>> Setup<P, S> {
+    fn new(algorithm: Algorithm, platform: &P, n: usize, scenario: S) -> Self {
+        scenario.validate(n);
+        let workload = scenario.workload();
+        let budget = workload
+            .mem_budget
+            .map(|limit| Arc::new(MemBudget::new(platform, limit)));
+        let queues = (0..scenario.num_queues(n))
+            .map(|_| {
+                algorithm.build_with_budget(
+                    platform,
+                    workload.capacity,
+                    budget.clone(),
+                    scenario.repairable(),
+                )
+            })
+            .collect();
+        let cells = (0..scenario.num_cells(n))
+            .map(|_| platform.alloc_cell(0))
+            .collect();
+        let counters = ScenarioCounters::new(n, scenario.num_tallies());
+        Setup {
+            algorithm,
+            scenario,
+            budget,
+            queues,
+            cells,
+            counters,
         }
     }
-    count
-}
 
-fn sorted_latencies(counters: &ScenarioCounters) -> Vec<u64> {
-    let mut samples = counters
-        .latencies_ns
-        .lock()
-        .expect("latency samples")
-        .clone();
-    samples.sort_unstable();
-    samples
+    /// Runs process `pid`'s script on `platform`.
+    fn run_process(&self, platform: &P, pid: usize) {
+        self.scenario.run(&ScenarioCtx {
+            pid,
+            num_processes: self.counters.per_process.len(),
+            platform,
+            queues: &self.queues,
+            cells: &self.cells,
+            counters: &self.counters,
+        });
+    }
+
+    /// Drains the queues where that cannot hang, checks conservation
+    /// after a clean run, and measures it. `report` is the simulator's; a
+    /// native run passes `None`, its wall time as `elapsed_ns`, and has
+    /// no faults to report.
+    fn finish(
+        &self,
+        processors: usize,
+        elapsed_ns: u64,
+        report: Option<SimReport>,
+    ) -> ScenarioOutcome {
+        let r = report.as_ref();
+        let killed = r.map(|r| r.killed.clone()).unwrap_or_default();
+        let blocked = r.map(|r| r.blocked.clone()).unwrap_or_default();
+        // Draining a blocking queue whose lock died held would spin
+        // forever on this host thread, out of the watchdog's reach; it is
+        // safe once nobody died, on a non-blocking queue, or in repair
+        // mode, where the drain itself revokes the dead holder's lock.
+        let drain_is_safe =
+            killed.is_empty() || self.algorithm.is_nonblocking() || self.scenario.repairable();
+        let drained = (drain_is_safe && blocked.is_empty()).then(|| {
+            let mut count = 0u64;
+            for queue in &self.queues {
+                while queue.dequeue().is_some() {
+                    count += 1;
+                }
+            }
+            count
+        });
+        let counters = &self.counters;
+        if killed.is_empty() && blocked.is_empty() {
+            if let Some(count) = drained {
+                self.scenario.check_conservation(counters, count);
+            }
+        }
+        let point = FaultedPoint {
+            point: MeasuredPoint {
+                algorithm: self.algorithm,
+                processors,
+                processes: counters.per_process.len(),
+                pairs: self.scenario.workload().pairs_total,
+                elapsed_ns,
+                net_ns: elapsed_ns.saturating_sub(self.scenario.other_work_share(processors)),
+                miss_rate: r.map_or(0.0, SimReport::miss_rate),
+                cas_failures: r.map_or(0, |r| r.cas_failures),
+                preemptions: r.map_or(0, |r| r.preemptions),
+                peak_resident_segments: self.budget.as_ref().map(|b| b.peak()),
+                budget_denials: self.budget.as_ref().map(|b| b.denials()),
+            },
+            pairs_completed: counters.completed(),
+            killed,
+            blocked,
+            blocked_kinds: r.map(|r| r.blocked_kinds.clone()).unwrap_or_default(),
+            stalls_injected: r.map_or(0, |r| r.stalls_injected),
+            preempts_injected: r.map_or(0, |r| r.preempts_injected),
+            max_completion_ns: r.map_or(elapsed_ns, SimReport::max_completion_ns),
+            drained,
+            recovered_pairs: counters.recovered.load(Ordering::Relaxed),
+            time_to_recover_ns: r.and_then(SimReport::time_to_recover_ns),
+            recoveries: r.map(|r| r.recoveries.clone()).unwrap_or_default(),
+            repairs: r.map(|r| r.repairs.clone()).unwrap_or_default(),
+            time_to_repair_ns: r.and_then(SimReport::time_to_repair_ns),
+        };
+        let mut latencies_ns = counters
+            .latencies_ns
+            .lock()
+            .expect("latency samples")
+            .clone();
+        latencies_ns.sort_unstable();
+        ScenarioOutcome {
+            point,
+            sim_report: report,
+            tallies: counters
+                .tallies
+                .iter()
+                .map(|t| t.load(Ordering::Relaxed))
+                .collect(),
+            latencies_ns,
+        }
+    }
 }
 
 /// Runs `scenario` for `algorithm` on the deterministic simulator with
 /// `plan`'s faults injected.
 ///
-/// This is the single driver every simulated legacy entry point wraps:
-/// it owns budget wiring, queue construction, schedule-stable cell
-/// allocation (scenario cells first, then the death board — the same
-/// order on every backend), process spawn, the guarded post-run drain,
-/// conservation checking, and measurement assembly.
+/// `sim_config.processors` and `.processes_per_processor` select the
+/// machine: `(p, 1)` for Figure 3, `(p, 2)` for Figure 4, `(p, 3)` for
+/// Figure 5. Set [`SimConfig::watchdog_ns`] when the plan can block a
+/// lock-based queue, or the run never terminates.
+///
+/// # Panics
+///
+/// Panics before the run if the scenario polls the death board, the plan
+/// kills, and the machine has more than 64 processes: the board is one
+/// 64-bit word, so the death of pid 64 or above could never be posted
+/// and a survivor waiting for it would never finish.
 pub fn run_scenario_simulated<S: Scenario<SimPlatform>>(
     algorithm: Algorithm,
     sim_config: SimConfig,
     scenario: S,
     plan: FaultPlan,
 ) -> ScenarioOutcome {
-    let has_kills = plan.has_kills();
+    let n = sim_config.num_processes();
+    assert!(
+        n <= 64 || !(plan.has_kills() && scenario.uses_death_board()),
+        "the 64-bit death board cannot post the death of pid 64 or above: \
+         a scenario that polls it runs at most 64 processes under a plan with kills, not {n}"
+    );
     let sim = Simulation::with_faults(sim_config, plan);
     let platform = sim.platform();
-    let workload = *scenario.workload();
-    let n = sim.num_processes();
-    scenario.validate(n);
-    let budget = workload
-        .mem_budget
-        .map(|limit| Arc::new(MemBudget::new(&platform, limit)));
-    let queues: Arc<Vec<Arc<dyn ConcurrentWordQueue>>> =
-        Arc::new(build_queues(&scenario, algorithm, &platform, n, &budget));
-    // Setup is untimed: allocate the scenario's cells (and, if it polls
-    // death notices, the board) before the run so every backend sees
-    // identical cell ids.
-    let cells: Arc<Vec<_>> = Arc::new(
-        (0..scenario.num_cells(n))
-            .map(|_| platform.alloc_cell(0))
-            .collect(),
-    );
-    if scenario.uses_death_board() {
+    let setup = Arc::new(Setup::new(algorithm, &platform, n, scenario));
+    if setup.scenario.uses_death_board() {
         let _ = platform.death_board();
     }
-    let counters = Arc::new(ScenarioCounters::new(n, scenario.num_tallies()));
-    let scenario = Arc::new(scenario);
     let report = sim.run({
-        let queues = Arc::clone(&queues);
-        let cells = Arc::clone(&cells);
-        let counters = Arc::clone(&counters);
-        let scenario = Arc::clone(&scenario);
-        let platform = platform.clone();
-        move |info| {
-            let cx = ScenarioCtx {
-                pid: info.pid,
-                num_processes: info.num_processes,
-                platform: &platform,
-                queues: &queues,
-                cells: &cells,
-                counters: &counters,
-            };
-            scenario.run(&cx);
-        }
+        let setup = Arc::clone(&setup);
+        move |info| setup.run_process(&platform, info.pid)
     });
-    // Draining a blocking queue whose lock died held would spin forever
-    // on the *native* caller thread (no watchdog out here); skip it
-    // unless the scenario's queues survive that (repair mode).
-    let drain_is_safe = scenario.drain_after_kills() || !has_kills || algorithm.is_nonblocking();
-    let drained = if drain_is_safe && report.blocked.is_empty() {
-        Some(drain_all(&queues))
-    } else {
-        None
-    };
-    if report.killed.is_empty() && report.blocked.is_empty() {
-        if let Some(count) = drained {
-            scenario.check_conservation(&counters, count);
-        }
-    }
-    let per_processor_other_work = scenario.other_work_share(sim_config.processors);
-    let point = FaultedPoint {
-        point: MeasuredPoint {
-            algorithm,
-            processors: sim_config.processors,
-            processes: n,
-            pairs: workload.pairs_total,
-            elapsed_ns: report.elapsed_ns,
-            net_ns: report.elapsed_ns.saturating_sub(per_processor_other_work),
-            miss_rate: report.miss_rate(),
-            cas_failures: report.cas_failures,
-            preemptions: report.preemptions,
-            peak_resident_segments: budget.as_ref().map(|b| b.peak()),
-            budget_denials: budget.as_ref().map(|b| b.denials()),
-        },
-        pairs_completed: counters.completed(),
-        killed: report.killed.clone(),
-        blocked: report.blocked.clone(),
-        blocked_kinds: report.blocked_kinds.clone(),
-        stalls_injected: report.stalls_injected,
-        preempts_injected: report.preempts_injected,
-        max_completion_ns: report.max_completion_ns(),
-        drained,
-        recovered_pairs: counters.recovered.load(Ordering::Relaxed),
-        time_to_recover_ns: report.time_to_recover_ns(),
-        recoveries: report.recoveries.clone(),
-        repairs: report.repairs.clone(),
-        time_to_repair_ns: report.time_to_repair_ns(),
-    };
-    ScenarioOutcome {
-        point,
-        tallies: counters
-            .tallies
-            .iter()
-            .map(|t| t.load(Ordering::Relaxed))
-            .collect(),
-        latencies_ns: sorted_latencies(&counters),
-        sim_report: Some(report),
-    }
+    setup.finish(sim_config.processors, report.elapsed_ns, Some(report))
 }
 
 /// Runs `scenario` for `algorithm` on real threads: the native
 /// counterpart of [`run_scenario_simulated`] (no faults — threads either
 /// run or the whole process is gone).
+///
+/// On a host with at least `processes` cores this reproduces the paper's
+/// dedicated machine directly; on a smaller host it measures an
+/// OS-multiprogrammed analogue instead.
 pub fn run_scenario_native<S: Scenario<NativePlatform>>(
     algorithm: Algorithm,
     processes: usize,
     scenario: S,
 ) -> ScenarioOutcome {
     assert!(processes >= 1);
-    scenario.validate(processes);
-    let platform = NativePlatform::new();
-    let workload = *scenario.workload();
-    let budget = workload
-        .mem_budget
-        .map(|limit| Arc::new(MemBudget::new(&platform, limit)));
-    let queues: Arc<Vec<Arc<dyn ConcurrentWordQueue>>> = Arc::new(build_queues(
-        &scenario, algorithm, &platform, processes, &budget,
+    let setup = Arc::new(Setup::new(
+        algorithm,
+        &NativePlatform::new(),
+        processes,
+        scenario,
     ));
-    let cells: Arc<Vec<_>> = Arc::new(
-        (0..scenario.num_cells(processes))
-            .map(|_| platform.alloc_cell(0))
-            .collect(),
-    );
-    let counters = Arc::new(ScenarioCounters::new(processes, scenario.num_tallies()));
-    let scenario = Arc::new(scenario);
     let barrier = Arc::new(Barrier::new(processes + 1));
-    let mut handles = Vec::new();
-    for pid in 0..processes {
-        let queues = Arc::clone(&queues);
-        let cells = Arc::clone(&cells);
-        let counters = Arc::clone(&counters);
-        let scenario = Arc::clone(&scenario);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            let platform = NativePlatform::new();
-            barrier.wait();
-            let cx = ScenarioCtx {
-                pid,
-                num_processes: processes,
-                platform: &platform,
-                queues: &queues,
-                cells: &cells,
-                counters: &counters,
-            };
-            scenario.run(&cx);
-        }));
-    }
+    let handles: Vec<_> = (0..processes)
+        .map(|pid| {
+            let (setup, barrier) = (Arc::clone(&setup), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let platform = NativePlatform::new();
+                barrier.wait();
+                setup.run_process(&platform, pid);
+            })
+        })
+        .collect();
     barrier.wait();
     let start = Instant::now();
     for handle in handles {
         handle.join().expect("workload thread");
     }
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let drained = drain_all(&queues);
-    scenario.check_conservation(&counters, drained);
-    let per_processor_other_work = scenario.other_work_share(processes);
-    let point = FaultedPoint {
-        point: MeasuredPoint {
-            algorithm,
-            processors: processes,
-            processes,
-            pairs: workload.pairs_total,
-            elapsed_ns,
-            net_ns: elapsed_ns.saturating_sub(per_processor_other_work),
-            miss_rate: 0.0,
-            cas_failures: 0,
-            preemptions: 0,
-            peak_resident_segments: budget.as_ref().map(|b| b.peak()),
-            budget_denials: budget.as_ref().map(|b| b.denials()),
-        },
-        pairs_completed: counters.completed(),
-        killed: Vec::new(),
-        blocked: Vec::new(),
-        blocked_kinds: Vec::new(),
-        stalls_injected: 0,
-        preempts_injected: 0,
-        max_completion_ns: elapsed_ns,
-        drained: Some(drained),
-        recovered_pairs: counters.recovered.load(Ordering::Relaxed),
-        time_to_recover_ns: None,
-        recoveries: Vec::new(),
-        repairs: Vec::new(),
-        time_to_repair_ns: None,
-    };
-    ScenarioOutcome {
-        point,
-        tallies: counters
-            .tallies
-            .iter()
-            .map(|t| t.load(Ordering::Relaxed))
-            .collect(),
-        latencies_ns: sorted_latencies(&counters),
-        sim_report: None,
-    }
+    setup.finish(processes, start.elapsed().as_nanos() as u64, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -496,10 +451,6 @@ pub struct PairedScenario {
 }
 
 impl<P: Platform> Scenario<P> for PairedScenario {
-    fn label(&self) -> &'static str {
-        "paired"
-    }
-
     fn workload(&self) -> &WorkloadConfig {
         &self.workload
     }
@@ -554,10 +505,6 @@ pub struct BatchedScenario {
 }
 
 impl<P: Platform> Scenario<P> for BatchedScenario {
-    fn label(&self) -> &'static str {
-        "batched"
-    }
-
     fn workload(&self) -> &WorkloadConfig {
         &self.workload
     }
@@ -636,10 +583,14 @@ impl<P: Platform> Scenario<P> for BatchedScenario {
 /// victim's residual share (replayed with `RECOVERY_BIT`-marked values)
 /// before stamping the handoff with [`Platform::mark_recovered`].
 ///
-/// With `repairable` set the queues are built in repair mode (the
-/// `repair` flag of [`Algorithm::build_with_budget`]) and the post-run
-/// drain is always attempted (the drain itself revokes a still-held dead
-/// lock).
+/// On a non-blocking queue the survivor completes each victim's share;
+/// on a lock-based queue whose lock died held it wedges, and the
+/// watchdog flags it. With `repairable` set the queues are built in
+/// repair mode (the `repair` flag of [`Algorithm::build_with_budget`]),
+/// where a waiter revokes the dead holder's lock instead, and the
+/// post-run drain is always attempted (the drain itself revokes a
+/// still-held dead lock). Killing the designated survivor leaves every
+/// other victim unabsorbed.
 #[derive(Clone, Copy, Debug)]
 pub struct PolicyScenario {
     /// Workload parameters.
@@ -651,14 +602,6 @@ pub struct PolicyScenario {
 }
 
 impl<P: Platform> Scenario<P> for PolicyScenario {
-    fn label(&self) -> &'static str {
-        if self.repairable {
-            "repaired"
-        } else {
-            "recovered"
-        }
-    }
-
     fn workload(&self) -> &WorkloadConfig {
         &self.workload
     }
@@ -680,10 +623,6 @@ impl<P: Platform> Scenario<P> for PolicyScenario {
             self.policy.survivor < n,
             "designated survivor must be a pid"
         );
-    }
-
-    fn drain_after_kills(&self) -> bool {
-        self.repairable
     }
 
     fn run(&self, cx: &ScenarioCtx<'_, P>) {
@@ -799,10 +738,6 @@ impl StealingScenario {
 }
 
 impl<P: Platform> Scenario<P> for StealingScenario {
-    fn label(&self) -> &'static str {
-        "stealing"
-    }
-
     fn workload(&self) -> &WorkloadConfig {
         &self.workload
     }
@@ -927,10 +862,6 @@ pub struct PipelineScenario {
 }
 
 impl<P: Platform> Scenario<P> for PipelineScenario {
-    fn label(&self) -> &'static str {
-        "pipeline"
-    }
-
     fn workload(&self) -> &WorkloadConfig {
         &self.workload
     }
@@ -1061,10 +992,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl<P: Platform> Scenario<P> for OpenLoopScenario {
-    fn label(&self) -> &'static str {
-        "open-loop"
-    }
-
     fn workload(&self) -> &WorkloadConfig {
         &self.workload
     }
@@ -1176,6 +1103,311 @@ mod tests {
         }
     }
 
+    fn watched(processors: usize, watchdog_ns: u64) -> SimConfig {
+        SimConfig {
+            watchdog_ns,
+            ..cfg(processors)
+        }
+    }
+
+    fn paired(algorithm: Algorithm, config: SimConfig, plan: FaultPlan) -> FaultedPoint {
+        run_scenario_simulated(algorithm, config, PairedScenario { workload: tiny() }, plan).point
+    }
+
+    fn batched(algorithm: Algorithm, workload: WorkloadConfig, batch: usize) -> MeasuredPoint {
+        run_scenario_simulated(
+            algorithm,
+            cfg(2),
+            BatchedScenario { workload, batch },
+            FaultPlan::new(),
+        )
+        .point
+        .point
+    }
+
+    /// The policy shape on three processes, pid 0 the designated
+    /// survivor.
+    fn policy(
+        algorithm: Algorithm,
+        watchdog_ns: u64,
+        plan: FaultPlan,
+        repairable: bool,
+    ) -> FaultedPoint {
+        let scenario = PolicyScenario {
+            workload: tiny(),
+            policy: RecoveryPolicy::designated(0),
+            repairable,
+        };
+        run_scenario_simulated(algorithm, watched(3, watchdog_ns), scenario, plan).point
+    }
+
+    /// Runs `scenario` twice and asserts the runs are identical: report,
+    /// measurement, tallies and latency samples.
+    fn assert_replays<S: Scenario<SimPlatform> + Copy>(
+        shape: &str,
+        algorithm: Algorithm,
+        config: SimConfig,
+        scenario: S,
+        plan: FaultPlan,
+    ) {
+        let run = || run_scenario_simulated(algorithm, config, scenario, plan.clone());
+        let (a, b) = (run(), run());
+        assert_eq!(a.sim_report, b.sim_report, "{shape}");
+        let debug = |out: &ScenarioOutcome| format!("{:?}", out.point);
+        assert_eq!(debug(&a), debug(&b), "{shape}");
+        assert_eq!(a.tallies, b.tallies, "{shape}");
+        assert_eq!(a.latencies_ns, b.latencies_ns, "{shape}");
+        // Every run drains clean, a recovery answers each kill, and with
+        // no kill in repair mode nothing is repaired.
+        assert_eq!(a.point.drained, Some(0), "{shape}");
+        assert_eq!(a.point.recoveries.len(), a.point.killed.len(), "{shape}");
+        assert!(a.point.repairs.is_empty(), "{shape}: {:?}", a.point.repairs);
+    }
+
+    #[test]
+    fn every_shape_is_deterministic() {
+        let workload = tiny();
+        let recovery = |survivor, repairable| PolicyScenario {
+            workload,
+            policy: RecoveryPolicy::designated(survivor),
+            repairable,
+        };
+        let open_loop = OpenLoopScenario {
+            workload,
+            mean_gap_ns: 1_000,
+            seed: 7,
+        };
+        let (msq, none) = (Algorithm::NewNonBlocking, FaultPlan::new);
+        assert_replays("paired", msq, cfg(3), PairedScenario { workload }, none());
+        let batched = BatchedScenario { workload, batch: 8 };
+        assert_replays("batched", Algorithm::Sharded, cfg(3), batched, none());
+        let kill = FaultPlan::new().kill_at_label(2, "msq:deq:window", 0);
+        assert_replays(
+            "recovered",
+            msq,
+            watched(3, 400_000_000),
+            recovery(1, false),
+            kill,
+        );
+        assert_replays(
+            "repairable",
+            Algorithm::NewTwoLock,
+            cfg(2),
+            recovery(0, true),
+            none(),
+        );
+        assert_replays(
+            "stealing",
+            msq,
+            cfg(3),
+            StealingScenario { workload },
+            none(),
+        );
+        let pipeline = PipelineScenario {
+            workload,
+            stages: 3,
+        };
+        assert_replays("pipeline", Algorithm::SingleLock, cfg(3), pipeline, none());
+        assert_replays("open-loop", msq, cfg(3), open_loop, none());
+    }
+
+    #[test]
+    fn simulated_run_completes_for_every_algorithm() {
+        for alg in Algorithm::ALL {
+            let point = paired(alg, cfg(2), FaultPlan::new()).point;
+            assert!(point.elapsed_ns > 0, "{alg}");
+            assert!(point.net_ns <= point.elapsed_ns, "{alg}");
+            assert_eq!(point.pairs, 300);
+            assert_eq!(point.processes, 2);
+        }
+    }
+
+    #[test]
+    fn simulated_multiprogrammed_run_completes() {
+        let cfg = SimConfig {
+            processes_per_processor: 2,
+            quantum_ns: 100_000,
+            ..cfg(2)
+        };
+        let point = paired(Algorithm::NewNonBlocking, cfg, FaultPlan::new()).point;
+        assert_eq!(point.processes, 4);
+        assert!(point.elapsed_ns > 0);
+    }
+
+    #[test]
+    fn native_run_completes() {
+        let scenario = PairedScenario { workload: tiny() };
+        let point = run_scenario_native(Algorithm::NewNonBlocking, 2, scenario)
+            .point
+            .point;
+        assert!(point.elapsed_ns > 0);
+        assert_eq!(point.processes, 2);
+    }
+
+    #[test]
+    fn simulated_batched_run_completes_for_batchers_and_loopers() {
+        // A real batcher, the sharded front-end, and a trait-default
+        // per-op looper all drive the same workload.
+        for alg in [
+            Algorithm::SegBatched,
+            Algorithm::Sharded,
+            Algorithm::NewNonBlocking,
+        ] {
+            let point = batched(alg, tiny(), 8);
+            assert!(point.elapsed_ns > 0, "{alg}");
+            assert_eq!(point.pairs, 300, "{alg}");
+        }
+    }
+
+    #[test]
+    fn native_batched_run_completes() {
+        let scenario = BatchedScenario {
+            workload: tiny(),
+            batch: 16,
+        };
+        let point = run_scenario_native(Algorithm::SegBatched, 2, scenario)
+            .point
+            .point;
+        assert!(point.elapsed_ns > 0);
+        assert_eq!(point.processes, 2);
+    }
+
+    #[test]
+    fn batch_of_one_matches_per_op_structure() {
+        // batch=1 must be a valid degenerate case, not a special one.
+        assert!(batched(Algorithm::SegBatched, tiny(), 1).elapsed_ns > 0);
+    }
+
+    #[test]
+    fn budgeted_simulated_run_reports_peak_within_limit() {
+        for alg in [Algorithm::SegBatched, Algorithm::Sharded] {
+            let workload = WorkloadConfig {
+                mem_budget: Some(48),
+                ..tiny()
+            };
+            let point = batched(alg, workload, 8);
+            let peak = point.peak_resident_segments.expect("budgeted run");
+            assert!(peak >= 1, "{alg}: the dummy segment is always resident");
+            assert!(peak <= 48, "{alg}: peak {peak} exceeded the budget");
+            assert!(point.budget_denials.is_some(), "{alg}");
+        }
+    }
+
+    #[test]
+    fn unbudgeted_runs_report_no_residency_metrics() {
+        let point = paired(Algorithm::SegBatched, cfg(2), FaultPlan::new()).point;
+        assert_eq!(point.peak_resident_segments, None);
+        assert_eq!(point.budget_denials, None);
+    }
+
+    #[test]
+    fn faulted_run_kill_on_nonblocking_queue_still_completes() {
+        let point = paired(
+            Algorithm::NewNonBlocking,
+            watched(2, 50_000_000),
+            FaultPlan::new().kill_at_label(1, "msq:enq:window", 0),
+        );
+        assert_eq!(point.killed, vec![1]);
+        assert!(point.survivors_completed(), "blocked: {:?}", point.blocked);
+        // Process 0 finished all its pairs; the victim died on pair 0.
+        assert_eq!(point.pairs_completed, share(300, 2, 0));
+        // The victim's linearized-but-unfinished enqueue strands one value.
+        assert_eq!(point.drained, Some(1));
+        assert!(point.max_completion_ns > 0);
+        assert!(point.max_completion_ns < 50_000_000, "no watchdog overrun");
+    }
+
+    #[test]
+    fn faulted_run_kill_on_lock_queue_is_detected_as_blocked() {
+        let point = paired(
+            Algorithm::SingleLock,
+            watched(2, 50_000_000),
+            FaultPlan::new().kill_at_label(1, "single-lock:enq:locked", 0),
+        );
+        assert_eq!(point.killed, vec![1]);
+        assert!(
+            !point.survivors_completed(),
+            "a dead lock-holder must block the survivor"
+        );
+        assert_eq!(point.blocked, vec![0]);
+        assert_eq!(point.drained, None, "a seized lock makes draining unsafe");
+    }
+
+    #[test]
+    fn recovered_run_absorbs_the_victims_residual_share() {
+        let point = policy(
+            Algorithm::NewNonBlocking,
+            400_000_000,
+            FaultPlan::new().kill_at_label(1, "msq:deq:window", 0),
+            false,
+        );
+        assert_eq!(point.killed, vec![1]);
+        assert!(point.survivors_completed(), "blocked: {:?}", point.blocked);
+        // The victim died inside its first dequeue: its whole share is
+        // residual, and the survivor replays every pair of it.
+        assert_eq!(point.recovered_pairs, share(300, 3, 1));
+        assert_eq!(point.pairs_completed + point.recovered_pairs, 300);
+        assert_eq!(point.recoveries.len(), 1);
+        assert_eq!(point.recoveries[0].victim, 1);
+        assert_eq!(point.recoveries[0].by, 0);
+        let ttr = point.time_to_recover_ns.expect("one recovery completed");
+        assert!(ttr > 0, "catch-up work costs virtual time");
+        // The victim's in-flight dequeue already swung Head, so the
+        // replayed pairs leave the queue balanced.
+        assert_eq!(point.drained, Some(0));
+    }
+
+    #[test]
+    fn recovered_run_on_a_lock_queue_is_watchdog_flagged_not_recovered() {
+        let point = policy(
+            Algorithm::SingleLock,
+            50_000_000,
+            FaultPlan::new().kill_at_label(1, "single-lock:deq:locked", 0),
+            false,
+        );
+        assert_eq!(point.killed, vec![1]);
+        assert!(
+            !point.survivors_completed(),
+            "a dead lock-holder must wedge the survivors"
+        );
+        assert_eq!(point.recovered_pairs, 0);
+        assert_eq!(point.time_to_recover_ns, None);
+        assert!(point.recoveries.is_empty());
+        assert_eq!(point.drained, None);
+    }
+
+    #[test]
+    fn repaired_run_on_a_lock_queue_completes_with_conservation() {
+        for (alg, label) in [
+            (Algorithm::SingleLock, "single-lock:deq:locked"),
+            (Algorithm::NewTwoLock, "two-lock:deq:locked"),
+        ] {
+            let point = policy(
+                alg,
+                400_000_000,
+                FaultPlan::new().kill_at_label(1, label, 0),
+                true,
+            );
+            assert_eq!(point.killed, vec![1], "{alg}");
+            assert!(
+                point.survivors_completed(),
+                "{alg}: repair must beat the watchdog, blocked {:?}",
+                point.blocked
+            );
+            assert_eq!(point.repairs.len(), 1, "{alg}: {:?}", point.repairs);
+            assert_eq!(point.repairs[0].victim, 1, "{alg}");
+            let ttr = point.time_to_repair_ns.expect("one repair landed");
+            assert!(ttr > 0, "{alg}: revocation costs virtual time");
+            assert_eq!(
+                point.pairs_completed + point.recovered_pairs,
+                300,
+                "{alg}: conservation"
+            );
+            let drained = point.drained.expect("a repaired queue is drainable");
+            assert!(drained <= 1, "{alg}: at most the rolled-back value remains");
+        }
+    }
+
     #[test]
     fn percentiles_use_nearest_rank() {
         let samples: Vec<u64> = (1..=100).collect();
@@ -1203,22 +1435,6 @@ mod tests {
             assert!(out.tallies[StealingScenario::STEALS] > 0, "{alg}");
             assert!(out.point.point.elapsed_ns > 0, "{alg}");
         }
-    }
-
-    #[test]
-    fn stealing_is_deterministic() {
-        let run = || {
-            run_scenario_simulated(
-                Algorithm::NewNonBlocking,
-                cfg(3),
-                StealingScenario { workload: tiny() },
-                FaultPlan::new(),
-            )
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.point.point.elapsed_ns, b.point.point.elapsed_ns);
-        assert_eq!(a.tallies, b.tallies);
-        assert_eq!(a.sim_report, b.sim_report);
     }
 
     #[test]
@@ -1273,24 +1489,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_is_deterministic() {
-        let run = || {
-            run_scenario_simulated(
-                Algorithm::SingleLock,
-                cfg(3),
-                PipelineScenario {
-                    workload: tiny(),
-                    stages: 3,
-                },
-                FaultPlan::new(),
-            )
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.tallies, b.tallies);
-        assert_eq!(a.sim_report, b.sim_report);
-    }
-
-    #[test]
     fn open_loop_reports_latency_in_report_and_host_samples() {
         let out = run_scenario_simulated(
             Algorithm::NewNonBlocking,
@@ -1319,24 +1517,23 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_is_deterministic_and_seed_sensitive() {
+    fn open_loop_is_seed_sensitive() {
         let run = |seed| {
+            let scenario = OpenLoopScenario {
+                workload: tiny(),
+                mean_gap_ns: 1_000,
+                seed,
+            };
             run_scenario_simulated(
                 Algorithm::NewNonBlocking,
                 cfg(3),
-                OpenLoopScenario {
-                    workload: tiny(),
-                    mean_gap_ns: 1_000,
-                    seed,
-                },
+                scenario,
                 FaultPlan::new(),
             )
         };
-        let (a, b, c) = (run(7), run(7), run(8));
-        assert_eq!(a.latencies_ns, b.latencies_ns);
-        assert_eq!(a.sim_report, b.sim_report);
         assert_ne!(
-            a.point.point.elapsed_ns, c.point.point.elapsed_ns,
+            run(7).point.point.elapsed_ns,
+            run(8).point.point.elapsed_ns,
             "a different seed must produce a different arrival schedule"
         );
     }

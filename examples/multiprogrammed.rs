@@ -11,7 +11,9 @@
 //! cargo run --release --example multiprogrammed
 //! ```
 
-use ms_queues::{run_simulated, Algorithm, SimConfig, WorkloadConfig};
+use ms_queues::{
+    run_scenario_simulated, Algorithm, FaultPlan, PairedScenario, SimConfig, WorkloadConfig,
+};
 
 fn main() {
     let workload = WorkloadConfig {
@@ -33,18 +35,16 @@ fn main() {
     for algorithm in Algorithm::ALL {
         let mut nets = Vec::new();
         for processes_per_processor in 1..=3 {
-            let point = run_simulated(
-                algorithm,
-                SimConfig {
-                    processors,
-                    processes_per_processor,
-                    quantum_ns,
-                    ctx_switch_ns: quantum_ns / 400, // paper ratio: 25 µs : 10 ms
-                    ..SimConfig::default()
-                },
-                &workload,
-            );
-            nets.push(point.net_secs_per_million_pairs());
+            let config = SimConfig {
+                processors,
+                processes_per_processor,
+                quantum_ns,
+                ctx_switch_ns: quantum_ns / 400, // paper ratio: 25 µs : 10 ms
+                ..SimConfig::default()
+            };
+            let scenario = PairedScenario { workload };
+            let out = run_scenario_simulated(algorithm, config, scenario, FaultPlan::new());
+            nets.push(out.point.point.net_secs_per_million_pairs());
         }
         println!(
             "{:<16} {:>10.3} {:>10.3} {:>10.3} {:>17.1}x{}",

@@ -8,7 +8,9 @@
 //! cargo run --release --example simulated_machine
 //! ```
 
-use ms_queues::{run_simulated, Algorithm, SimConfig, WorkloadConfig};
+use ms_queues::{
+    run_scenario_simulated, Algorithm, FaultPlan, PairedScenario, SimConfig, WorkloadConfig,
+};
 
 fn main() {
     let workload = WorkloadConfig {
@@ -30,15 +32,13 @@ fn main() {
     for algorithm in Algorithm::ALL {
         print!("{:<16}", algorithm.label());
         for p in processors {
-            let point = run_simulated(
-                algorithm,
-                SimConfig {
-                    processors: p,
-                    ..SimConfig::default()
-                },
-                &workload,
-            );
-            print!(" {:<9.3}", point.net_secs_per_million_pairs());
+            let config = SimConfig {
+                processors: p,
+                ..SimConfig::default()
+            };
+            let scenario = PairedScenario { workload };
+            let out = run_scenario_simulated(algorithm, config, scenario, FaultPlan::new());
+            print!(" {:<9.3}", out.point.point.net_secs_per_million_pairs());
         }
         println!();
     }

@@ -61,8 +61,9 @@
 //! quantum-preemptive scheduling (see `DESIGN.md` §5). The workload loop
 //! — enqueue, ~6 µs of "other work", dequeue, more other work, for 10⁶/p
 //! iterations per process — is
-//! [`run_simulated`](crate::run_simulated) /
-//! [`run_native`](crate::run_native), and
+//! [`PairedScenario`](crate::PairedScenario), run by
+//! [`run_scenario_simulated`](crate::run_scenario_simulated) /
+//! [`run_scenario_native`](crate::run_scenario_native), and
 //! `cargo run -p msq-harness --release --bin figures` regenerates
 //! Figures 3–5 (results in `EXPERIMENTS.md`).
 //!

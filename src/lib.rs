@@ -40,7 +40,7 @@
 //! * [`MemBudget`] — a process-global bound on live segments, shared
 //!   across queues, with reclaim pressure and backpressure on exhaustion.
 //! * [`harness`] — the Section 4 workload and figure sweeps
-//!   ([`run_simulated`], [`run_figure`]).
+//!   ([`run_scenario_simulated`], [`run_figure`]).
 //! * [`linearize`] — history recording and linearizability checking.
 //!
 //! [`sim`] and [`harness`] exist on x86-64 Linux only: the simulator's
@@ -90,11 +90,10 @@ pub use msq_core::{
 };
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use msq_harness::{
-    percentile_ns, run_figure, run_native, run_native_batched, run_scenario_native,
-    run_scenario_simulated, run_simulated, run_simulated_batched, run_simulated_faulted,
-    run_simulated_recovered, run_simulated_repaired, Algorithm, BatchedScenario, FaultedPoint,
-    MeasuredPoint, OpenLoopScenario, PairedScenario, PipelineScenario, PolicyScenario, Scenario,
-    ScenarioCounters, ScenarioCtx, ScenarioOutcome, StealingScenario, WorkloadConfig,
+    percentile_ns, run_figure, run_scenario_native, run_scenario_simulated, Algorithm,
+    BatchedScenario, FaultedPoint, MeasuredPoint, OpenLoopScenario, PairedScenario,
+    PipelineScenario, PolicyScenario, Scenario, ScenarioCounters, ScenarioCtx, ScenarioOutcome,
+    StealingScenario, WorkloadConfig,
 };
 pub use msq_linearize::{is_linearizable_queue, History, Recorder};
 pub use msq_platform::{

@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex};
 
 use ms_queues::linearize::{Event, Operation};
 use ms_queues::{
-    is_linearizable_queue, run_simulated_faulted, run_simulated_recovered, run_simulated_repaired,
-    schedule_sweep, Algorithm, AtomicWord, BlockedKind, FaultPlan, History, MemBudget,
-    NativePlatform, Platform, Recorder, RecoveryPolicy, SimConfig, Simulation, WorkloadConfig,
+    is_linearizable_queue, run_scenario_simulated, schedule_sweep, Algorithm, AtomicWord,
+    BlockedKind, FaultPlan, FaultedPoint, History, MemBudget, NativePlatform, PairedScenario,
+    Platform, PolicyScenario, Recorder, RecoveryPolicy, SimConfig, Simulation, WorkloadConfig,
 };
 
 fn tiny() -> WorkloadConfig {
@@ -32,6 +32,29 @@ fn tiny() -> WorkloadConfig {
     }
 }
 
+/// The paired workload on [`tiny`] under `plan`.
+fn paired(algorithm: Algorithm, config: SimConfig, plan: FaultPlan) -> FaultedPoint {
+    let scenario = PairedScenario { workload: tiny() };
+    run_scenario_simulated(algorithm, config, scenario, plan).point
+}
+
+/// The paired workload on [`tiny`] under `plan`, with pid 0 the
+/// designated survivor absorbing every victim's residual share, and with
+/// `repairable` the blocking queues in their repair mode.
+fn policy(
+    algorithm: Algorithm,
+    config: SimConfig,
+    plan: FaultPlan,
+    repairable: bool,
+) -> FaultedPoint {
+    let scenario = PolicyScenario {
+        workload: tiny(),
+        policy: RecoveryPolicy::designated(0),
+        repairable,
+    };
+    run_scenario_simulated(algorithm, config, scenario, plan).point
+}
+
 /// Stalls in the enqueue critical window delay but never corrupt: every
 /// algorithm (blocking ones included — the victim *resumes*) completes
 /// the full workload and leaves an empty queue.
@@ -41,13 +64,12 @@ fn stalls_in_the_critical_window_delay_but_never_corrupt() {
         let plan = FaultPlan::new()
             .stall_at_label(0, algorithm.enqueue_fault_label(), 0, 200_000)
             .stall_at_label(0, algorithm.enqueue_fault_label(), 4, 200_000);
-        let point = run_simulated_faulted(
+        let point = paired(
             algorithm,
             SimConfig {
                 processors: 3,
                 ..SimConfig::default()
             },
-            &tiny(),
             plan,
         );
         assert_eq!(point.stalls_injected, 2, "{algorithm}: stalls fired");
@@ -63,14 +85,13 @@ fn stalls_in_the_critical_window_delay_but_never_corrupt() {
 /// over (the paper's Figures 4–5 regime) — is absorbed without loss.
 #[test]
 fn preempt_storm_on_the_ms_window_is_absorbed() {
-    let point = run_simulated_faulted(
+    let point = paired(
         Algorithm::NewNonBlocking,
         SimConfig {
             processors: 2,
             processes_per_processor: 2,
             ..SimConfig::default()
         },
-        &tiny(),
         FaultPlan::new().preempt_storm(0, "msq:enq:window", 16),
     );
     assert_eq!(point.preempts_injected, 16);
@@ -183,10 +204,9 @@ fn kill_mid_enqueue_on_single_lock_watchdog_flags_survivors_across_16_seeds() {
     };
     schedule_sweep(base, 16, |cfg| {
         let seed = cfg.seed;
-        let point = run_simulated_faulted(
+        let point = paired(
             Algorithm::SingleLock,
             cfg,
-            &tiny(),
             FaultPlan::new().kill_at_label(0, "single-lock:enq:locked", 0),
         );
         assert_eq!(point.killed, vec![0], "seed {seed:#x}");
@@ -218,14 +238,13 @@ fn kill_mid_enqueue_on_single_lock_watchdog_flags_survivors_across_16_seeds() {
 /// only in the informal sense, exactly as the paper classifies it.
 #[test]
 fn kill_in_mellor_crummey_torn_tail_window_blocks_survivors() {
-    let point = run_simulated_faulted(
+    let point = paired(
         Algorithm::MellorCrummey,
         SimConfig {
             processors: 3,
             watchdog_ns: 50_000_000,
             ..SimConfig::default()
         },
-        &tiny(),
         FaultPlan::new().kill_at_label(0, "mc:enq:window", 0),
     );
     assert_eq!(point.killed, vec![0]);
@@ -248,14 +267,13 @@ fn kill_in_mellor_crummey_torn_tail_window_blocks_survivors() {
 /// while every peer stays alive.
 #[test]
 fn watchdog_classifies_an_overlong_stall_as_live_contention() {
-    let point = run_simulated_faulted(
+    let point = paired(
         Algorithm::NewNonBlocking,
         SimConfig {
             processors: 3,
             watchdog_ns: 50_000_000,
             ..SimConfig::default()
         },
-        &tiny(),
         FaultPlan::new().stall_at_label(0, "msq:enq:window", 0, 100_000_000),
     );
     assert!(point.killed.is_empty(), "a stall is not a death");
@@ -327,13 +345,12 @@ fn stalls_in_the_dequeue_window_delay_but_never_corrupt() {
         let plan = FaultPlan::new()
             .stall_at_label(0, algorithm.dequeue_fault_label(), 0, 200_000)
             .stall_at_label(0, algorithm.dequeue_fault_label(), 4, 200_000);
-        let point = run_simulated_faulted(
+        let point = paired(
             algorithm,
             SimConfig {
                 processors: 3,
                 ..SimConfig::default()
             },
-            &tiny(),
             plan,
         );
         assert_eq!(point.stalls_injected, 2, "{algorithm}: stalls fired");
@@ -349,14 +366,13 @@ fn stalls_in_the_dequeue_window_delay_but_never_corrupt() {
 /// twin.
 #[test]
 fn preempt_storm_on_the_ms_dequeue_window_is_absorbed() {
-    let point = run_simulated_faulted(
+    let point = paired(
         Algorithm::NewNonBlocking,
         SimConfig {
             processors: 2,
             processes_per_processor: 2,
             ..SimConfig::default()
         },
-        &tiny(),
         FaultPlan::new().preempt_storm(0, "msq:deq:window", 16),
     );
     assert_eq!(point.preempts_injected, 16);
@@ -374,14 +390,13 @@ fn preempt_storm_on_the_ms_dequeue_window_is_absorbed() {
 #[test]
 fn kill_in_the_dequeue_window_blocks_only_the_lock_based_queues() {
     for algorithm in Algorithm::ALL {
-        let point = run_simulated_faulted(
+        let point = paired(
             algorithm,
             SimConfig {
                 processors: 3,
                 watchdog_ns: 50_000_000,
                 ..SimConfig::default()
             },
-            &tiny(),
             FaultPlan::new().kill_at_label(0, algorithm.dequeue_fault_label(), 0),
         );
         assert_eq!(point.killed, vec![0], "{algorithm}");
@@ -519,10 +534,9 @@ fn kill_mid_dequeue_on_single_lock_watchdog_flags_survivors_across_16_seeds() {
     };
     schedule_sweep(base, 16, |cfg| {
         let seed = cfg.seed;
-        let point = run_simulated_faulted(
+        let point = paired(
             Algorithm::SingleLock,
             cfg,
-            &tiny(),
             FaultPlan::new().kill_at_label(0, "single-lock:deq:locked", 0),
         );
         assert_eq!(point.killed, vec![0], "seed {seed:#x}");
@@ -562,10 +576,9 @@ fn kill_mid_dequeue_on_two_lock_watchdog_flags_survivors_across_16_seeds() {
     };
     schedule_sweep(base, 16, |cfg| {
         let seed = cfg.seed;
-        let point = run_simulated_faulted(
+        let point = paired(
             Algorithm::NewTwoLock,
             cfg,
-            &tiny(),
             FaultPlan::new().kill_at_label(0, "two-lock:deq:locked", 0),
         );
         assert_eq!(point.killed, vec![0], "seed {seed:#x}");
@@ -602,12 +615,11 @@ fn dequeue_kill_recovery_absorbs_residual_share_across_16_seeds() {
     };
     schedule_sweep(base, 16, |cfg| {
         let seed = cfg.seed;
-        let point = run_simulated_recovered(
+        let point = policy(
             Algorithm::NewNonBlocking,
             cfg,
-            &tiny(),
             FaultPlan::new().kill_at_label(1, "msq:deq:window", 0),
-            RecoveryPolicy::designated(0),
+            false,
         );
         assert_eq!(point.killed, vec![1], "seed {seed:#x}");
         assert!(
@@ -692,12 +704,11 @@ fn kill_while_holding_each_lock_is_repaired_across_16_seeds() {
     schedule_sweep(base, 16, |cfg| {
         let seed = cfg.seed;
         for (algorithm, kill_label, repair_label, stranded) in REPAIR_COMBOS {
-            let point = run_simulated_repaired(
+            let point = policy(
                 algorithm,
                 cfg,
-                &tiny(),
                 FaultPlan::new().kill_at_label(1, kill_label, 0),
-                RecoveryPolicy::designated(0),
+                true,
             );
             assert_eq!(point.killed, vec![1], "{algorithm} seed {seed:#x}");
             assert!(
@@ -865,22 +876,40 @@ fn repaired_histories_linearize_across_16_seeds() {
 /// queue's would.
 #[test]
 fn mellor_crummey_dequeue_death_is_survivable_and_recoverable() {
-    let point = run_simulated_recovered(
+    let point = policy(
         Algorithm::MellorCrummey,
         SimConfig {
             processors: 3,
             watchdog_ns: 400_000_000,
             ..SimConfig::default()
         },
-        &tiny(),
         FaultPlan::new().kill_at_label(1, "mc:deq:window", 0),
-        RecoveryPolicy::designated(0),
+        false,
     );
     assert_eq!(point.killed, vec![1]);
     assert!(point.survivors_completed(), "blocked: {:?}", point.blocked);
     assert_eq!(point.recovered_pairs, 80);
     assert_eq!(point.recoveries.len(), 1);
     assert!(point.time_to_recover_ns.expect("recovered") > 0);
+}
+
+/// The death board is one 64-bit word, so the death of pid 64 or above
+/// is never posted, and the survivor waiting to absorb it would wait
+/// forever: the driver refuses the run before it starts. (The watchdog
+/// only bounds the run should it start anyway.)
+#[test]
+#[should_panic(expected = "64-bit death board")]
+fn a_kill_the_death_board_cannot_post_is_refused() {
+    policy(
+        Algorithm::NewNonBlocking,
+        SimConfig {
+            processors: 66,
+            watchdog_ns: 20_000_000,
+            ..SimConfig::default()
+        },
+        FaultPlan::new().kill_at_label(65, "msq:deq:window", 0),
+        false,
+    );
 }
 
 /// The native analogue: a thread that panics while holding an

@@ -4,7 +4,10 @@
 //! what the reproduction must preserve — see EXPERIMENTS.md for the
 //! full-size runs).
 
-use ms_queues::{run_simulated, run_simulated_batched, Algorithm, SimConfig, WorkloadConfig};
+use ms_queues::{
+    run_scenario_simulated, Algorithm, BatchedScenario, FaultPlan, MeasuredPoint, PairedScenario,
+    SimConfig, WorkloadConfig,
+};
 
 fn workload() -> WorkloadConfig {
     WorkloadConfig {
@@ -35,7 +38,25 @@ fn multiprogrammed(processors: usize, level: usize) -> SimConfig {
 }
 
 fn net(algorithm: Algorithm, config: SimConfig) -> f64 {
-    run_simulated(algorithm, config, &workload()).net_secs_per_million_pairs()
+    let scenario = PairedScenario {
+        workload: workload(),
+    };
+    run_scenario_simulated(algorithm, config, scenario, FaultPlan::new())
+        .point
+        .point
+        .net_secs_per_million_pairs()
+}
+
+/// The batch-mode workload at 1,200 pairs, in rounds of `batch`.
+fn batched(algorithm: Algorithm, config: SimConfig, batch: usize) -> MeasuredPoint {
+    let workload = WorkloadConfig {
+        pairs_total: 1_200,
+        ..workload()
+    };
+    let scenario = BatchedScenario { workload, batch };
+    run_scenario_simulated(algorithm, config, scenario, FaultPlan::new())
+        .point
+        .point
 }
 
 #[test]
@@ -151,10 +172,6 @@ fn batch_mode_sweep_covers_one_through_twelve_processors() {
     // algorithm completes the Section 4 workload in batch mode at each
     // machine size of the paper's 1–12-processor axis, conserving values
     // (checked inside the harness) and reporting sane statistics.
-    let workload = WorkloadConfig {
-        pairs_total: 1_200,
-        ..workload()
-    };
     for algorithm in [
         Algorithm::SegBatched,
         Algorithm::Sharded,
@@ -162,7 +179,7 @@ fn batch_mode_sweep_covers_one_through_twelve_processors() {
     ] {
         let mut serial_elapsed = 0_u64;
         for processors in [1_usize, 2, 4, 6, 8, 12] {
-            let point = run_simulated_batched(algorithm, dedicated(processors), &workload, 32);
+            let point = batched(algorithm, dedicated(processors), 32);
             assert_eq!(point.processors, processors);
             assert!(
                 point.elapsed_ns > 0,
@@ -198,16 +215,12 @@ fn batch_mode_sweep_covers_one_through_twelve_processors() {
 fn batching_amortizes_contention_at_scale() {
     // The point of batch mode: at 12 processors a 32-batch run must beat
     // the same algorithm moving the same pairs one at a time.
-    let workload = WorkloadConfig {
-        pairs_total: 1_200,
-        ..workload()
-    };
-    let single = run_simulated_batched(Algorithm::SegBatched, dedicated(12), &workload, 1);
-    let batched = run_simulated_batched(Algorithm::SegBatched, dedicated(12), &workload, 32);
+    let single = batched(Algorithm::SegBatched, dedicated(12), 1);
+    let batch_32 = batched(Algorithm::SegBatched, dedicated(12), 32);
     assert!(
-        batched.elapsed_ns < single.elapsed_ns,
+        batch_32.elapsed_ns < single.elapsed_ns,
         "batch 32 ({}) must beat batch 1 ({}) at 12 processors",
-        batched.elapsed_ns,
+        batch_32.elapsed_ns,
         single.elapsed_ns
     );
 }
@@ -224,23 +237,23 @@ fn recovery_asymmetry_survivable_absorbs_residual_lock_based_flagged() {
     // positive time-to-recover is stamped. On the queues whose dequeue
     // window is a held lock, the watchdog flags the wedged survivors and
     // nothing is recovered.
-    use ms_queues::{run_simulated_recovered, FaultPlan, RecoveryPolicy};
-    let workload = WorkloadConfig {
-        pairs_total: 1_200,
-        ..workload()
+    use ms_queues::{PolicyScenario, RecoveryPolicy};
+    let scenario = PolicyScenario {
+        workload: WorkloadConfig {
+            pairs_total: 1_200,
+            ..workload()
+        },
+        policy: RecoveryPolicy::designated(0),
+        repairable: false,
+    };
+    let config = SimConfig {
+        processors: 4,
+        watchdog_ns: 400_000_000,
+        ..SimConfig::default()
     };
     for algorithm in Algorithm::WITH_EXTENSIONS {
-        let point = run_simulated_recovered(
-            algorithm,
-            SimConfig {
-                processors: 4,
-                watchdog_ns: 400_000_000,
-                ..SimConfig::default()
-            },
-            &workload,
-            FaultPlan::new().kill_at_label(1, algorithm.dequeue_fault_label(), 0),
-            RecoveryPolicy::designated(0),
-        );
+        let plan = FaultPlan::new().kill_at_label(1, algorithm.dequeue_fault_label(), 0);
+        let point = run_scenario_simulated(algorithm, config, scenario, plan).point;
         assert_eq!(point.killed, vec![1], "{algorithm}: the kill must fire");
         if algorithm.dequeue_death_survivable() {
             assert!(
@@ -279,10 +292,8 @@ fn shape_is_stable_under_cost_model_perturbation() {
             t_miss_ns,
             ..SimConfig::default()
         };
-        let ms = run_simulated(Algorithm::NewNonBlocking, config, &workload())
-            .net_secs_per_million_pairs();
-        let single =
-            run_simulated(Algorithm::SingleLock, config, &workload()).net_secs_per_million_pairs();
+        let ms = net(Algorithm::NewNonBlocking, config);
+        let single = net(Algorithm::SingleLock, config);
         assert!(
             ms < single,
             "t_miss={t_miss_ns}: MS ({ms:.3}s) must still beat single lock ({single:.3}s)"

@@ -1,13 +1,13 @@
-//! The scenario engine's legacy entry points, pinned byte-identical to the
-//! pre-refactor inline loops they replaced.
+//! The scenario driver pinned byte-identical to the hand-written loops
+//! it replaced.
 //!
-//! `run_simulated`, `run_simulated_faulted`, and the figure sweeps reduce
-//! to [`PairedScenario`]; `run_simulated_recovered` and
-//! `run_simulated_repaired` reduce to [`PolicyScenario`]. Each constant
-//! below is the FNV-1a digest of `format!("{report:?}")` (the digest
-//! msqbench's `report_digest` prints) of the `SimReport` the old loop
-//! produced for that case, recorded by running the old loops. The loops
-//! are gone; the digests are the fixture.
+//! [`run_scenario_simulated`] is the only code that runs a workload. The
+//! paired cases (unfaulted, killed and stalled) run [`PairedScenario`],
+//! and the recovery and repair cases run [`PolicyScenario`]. Each
+//! constant below is the FNV-1a digest of `format!("{report:?}")` (the
+//! digest msqbench's `report_digest` prints) of the `SimReport` the old
+//! loop produced for that case, recorded by running the old loops. The
+//! loops are gone; the digests are the fixture.
 
 use ms_queues::{
     run_scenario_simulated, Algorithm, FaultPlan, PairedScenario, PolicyScenario, RecoveryPolicy,
@@ -59,7 +59,7 @@ fn scenario_report<S: Scenario<SimPlatform>>(
         .expect("simulated run carries a report")
 }
 
-/// `(contender, seed, digest)` of the old `run_simulated` loop.
+/// `(contender, seed, digest)` of the old paired loop.
 const PAIRED: [(Algorithm, u64, u64); 24] = [
     (Algorithm::SingleLock, 0, 0x5dff_4f18_da77_986e),
     (Algorithm::SingleLock, 11, 0xb0bc_c21f_046c_7b87),
@@ -91,8 +91,35 @@ const PAIRED: [(Algorithm, u64, u64); 24] = [
 /// third enqueue-window hit.
 const FAULTED_PAIRED: u64 = 0x3b57_9f87_97e6_efc8;
 
+/// `(contender, stall label, digest)` of faultbench's old stall loop at
+/// its smoke scale: 4 processors, 320 pairs with 6 µs of other work,
+/// capacity 4,096, and pid 0 stalled 100 µs at occurrences 0, 8, 16 and
+/// 24 of the label.
+const STALLED: [(Algorithm, &str, u64); 4] = [
+    (
+        Algorithm::NewNonBlocking,
+        "msq:enq:window",
+        0xcf69_d006_1cf0_3858,
+    ),
+    (
+        Algorithm::NewNonBlocking,
+        "msq:deq:window",
+        0xf39c_6e6c_475a_57a0,
+    ),
+    (
+        Algorithm::SingleLock,
+        "single-lock:enq:locked",
+        0x3305_90bc_8a72_189c,
+    ),
+    (
+        Algorithm::SingleLock,
+        "single-lock:deq:locked",
+        0x461e_bc82_da5a_f0d6,
+    ),
+];
+
 /// `(contender, kill label, repairable build, digest)` of the old
-/// `run_simulated_with_policy` loop at seed 0, pid 1 killed on its first
+/// policy loop at seed 0, pid 1 killed on its first
 /// hit of the label and pid 0 the designated survivor. With the two
 /// original repairable cases they pin all six repair paths (both windows
 /// of each blocking queue); the other four were recorded from the
@@ -171,6 +198,32 @@ fn unified_driver_reproduces_the_legacy_paired_loop_byte_identically() {
         FAULTED_PAIRED,
         "faulted paired scenario diverged from the pre-refactor loop"
     );
+}
+
+#[test]
+fn unified_driver_reproduces_the_legacy_stall_loop_byte_identically() {
+    let workload = WorkloadConfig {
+        pairs_total: 320,
+        other_work_ns: 6_000,
+        capacity: 4_096,
+        mem_budget: None,
+    };
+    let config = SimConfig {
+        processors: 4,
+        ..SimConfig::default()
+    };
+    for (algorithm, label, want) in STALLED {
+        let plan = (0..4).fold(FaultPlan::new(), |plan, k| {
+            plan.stall_at_label(0, label, 8 * k, 100_000)
+        });
+        let report = scenario_report(algorithm, config, PairedScenario { workload }, plan);
+        assert_eq!(report.stalls_injected, 4, "{algorithm} at {label}");
+        assert_eq!(
+            digest(&report),
+            want,
+            "stalled paired scenario diverged from the old stall loop ({algorithm} at {label})"
+        );
+    }
 }
 
 #[test]
