@@ -173,12 +173,6 @@ impl<P: Platform> NodeArena<P> {
         self.nexts[node as usize].cas(expected.raw(), expected.with_index(to).raw())
     }
 
-    /// Direct access to the next-word cell, for algorithms with needs beyond
-    /// the helpers (e.g. Mellor-Crummey's unconditional link store).
-    pub fn next_cell(&self, node: u32) -> &P::Cell {
-        &self.nexts[node as usize]
-    }
-
     /// Direct access to the value-word cell.
     pub fn value_cell(&self, node: u32) -> &P::Cell {
         &self.values[node as usize]

@@ -166,79 +166,6 @@ fn other_work_sensitivity(c: &mut Criterion) {
     group.finish();
 }
 
-fn lock_substrates_under_simulated_contention(c: &mut Criterion) {
-    // The lock the queue algorithms build on: the paper's TTAS-with-backoff
-    // vs plain TAS, a ticket lock, and the queue locks of the authors'
-    // reference [12] (MCS, CLH). 6 simulated processors hammer one
-    // counter-increment critical section.
-    use msq_sync::{ClhLock, McsLock, RawLock, TasLock, TicketLock, TokenLock, TtasLock};
-
-    fn run_raw<L: RawLock<msq_sim::SimPlatform> + 'static>(
-        make: impl Fn(&msq_sim::SimPlatform) -> L,
-    ) -> u64 {
-        let sim = Simulation::new(SimConfig {
-            processors: 6,
-            ..SimConfig::default()
-        });
-        let platform = sim.platform();
-        let lock = Arc::new(make(&platform));
-        let shared = Arc::new(msq_platform::Platform::alloc_cell(&platform, 0));
-        sim.run({
-            let lock = Arc::clone(&lock);
-            let shared = Arc::clone(&shared);
-            move |_| {
-                for _ in 0..50 {
-                    lock.lock(&platform);
-                    let v = msq_platform::AtomicWord::load(&*shared);
-                    msq_platform::AtomicWord::store(&*shared, v + 1);
-                    lock.unlock(&platform);
-                }
-            }
-        })
-        .elapsed_ns
-    }
-
-    fn run_token<L: TokenLock<msq_sim::SimPlatform> + 'static>(
-        make: impl Fn(&msq_sim::SimPlatform) -> L,
-    ) -> u64 {
-        let sim = Simulation::new(SimConfig {
-            processors: 6,
-            ..SimConfig::default()
-        });
-        let platform = sim.platform();
-        let lock = Arc::new(make(&platform));
-        let shared = Arc::new(msq_platform::Platform::alloc_cell(&platform, 0));
-        sim.run({
-            let lock = Arc::clone(&lock);
-            let shared = Arc::clone(&shared);
-            move |_| {
-                for _ in 0..50 {
-                    let token = lock.lock(&platform);
-                    let v = msq_platform::AtomicWord::load(&*shared);
-                    msq_platform::AtomicWord::store(&*shared, v + 1);
-                    lock.unlock(&platform, token);
-                }
-            }
-        })
-        .elapsed_ns
-    }
-
-    let mut group = c.benchmark_group("lock_substrates_contended_sim");
-    group.sample_size(10);
-    group.bench_function("tas", |b| b.iter(|| black_box(run_raw(TasLock::new))));
-    group.bench_function("ttas-backoff", |b| {
-        b.iter(|| black_box(run_raw(TtasLock::new)))
-    });
-    group.bench_function("ticket", |b| b.iter(|| black_box(run_raw(TicketLock::new))));
-    group.bench_function("mcs", |b| {
-        b.iter(|| black_box(run_token(|p| McsLock::new(p, 8))))
-    });
-    group.bench_function("clh", |b| {
-        b.iter(|| black_box(run_token(|p| ClhLock::new(p, 8))))
-    });
-    group.finish();
-}
-
 fn segment_size(c: &mut Criterion) {
     // The seg-batched extension's one tuning knob, natively uncontended
     // and under maximum simulated contention.
@@ -292,7 +219,6 @@ criterion_group!(
     backoff_under_simulated_contention,
     reclamation_strategies,
     other_work_sensitivity,
-    lock_substrates_under_simulated_contention,
     segment_size
 );
 criterion_main!(benches);

@@ -73,7 +73,6 @@ mod epoch_queue;
 mod ms_queue;
 mod seg_queue;
 mod sharded;
-pub mod spsc;
 mod stack;
 mod two_lock_queue;
 mod word_ms;
@@ -84,7 +83,6 @@ pub use epoch_queue::EpochMsQueue;
 pub use ms_queue::MsQueue;
 pub use seg_queue::{SegConfig, SegQueue, SegStats};
 pub use sharded::{ShardedQueue, WordShardedQueue, DEFAULT_SHARDS};
-pub use spsc::channel as spsc_channel;
 pub use stack::LockFreeStack;
 pub use two_lock_queue::TwoLockQueue;
 pub use word_ms::WordMsQueue;

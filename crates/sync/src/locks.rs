@@ -22,52 +22,6 @@ pub trait RawLock<P: Platform>: Send + Sync {
     /// (not memory-unsafe for these word-based locks, but it breaks mutual
     /// exclusion).
     fn unlock(&self, platform: &P);
-
-    /// Attempts to acquire without spinning; `true` on success.
-    fn try_lock(&self, platform: &P) -> bool;
-}
-
-/// Plain `test_and_set` spin lock with bounded exponential backoff.
-///
-/// Every acquisition attempt is a read-modify-write, so under contention
-/// the lock word ping-pongs between caches — the behaviour that makes bare
-/// TAS locks scale poorly and motivates [`TtasLock`].
-pub struct TasLock<P: Platform> {
-    word: P::Cell,
-    backoff: BackoffConfig,
-}
-
-impl<P: Platform> TasLock<P> {
-    /// Creates an unlocked lock with default backoff.
-    pub fn new(platform: &P) -> Self {
-        Self::with_backoff(platform, BackoffConfig::DEFAULT)
-    }
-
-    /// Creates an unlocked lock with explicit backoff parameters.
-    pub fn with_backoff(platform: &P, backoff: BackoffConfig) -> Self {
-        TasLock {
-            word: platform.alloc_cell(0),
-            backoff,
-        }
-    }
-}
-
-impl<P: Platform> RawLock<P> for TasLock<P> {
-    fn lock(&self, platform: &P) -> Acquired {
-        let mut backoff = Backoff::new(self.backoff);
-        while self.word.test_and_set() {
-            backoff.spin(platform);
-        }
-        Acquired::Clean
-    }
-
-    fn unlock(&self, _platform: &P) {
-        self.word.store(0);
-    }
-
-    fn try_lock(&self, _platform: &P) -> bool {
-        !self.word.test_and_set()
-    }
 }
 
 /// Test-and-`test_and_set` lock with bounded exponential backoff — the
@@ -114,56 +68,6 @@ impl<P: Platform> RawLock<P> for TtasLock<P> {
 
     fn unlock(&self, _platform: &P) {
         self.word.store(0);
-    }
-
-    fn try_lock(&self, _platform: &P) -> bool {
-        self.word.load() == 0 && !self.word.test_and_set()
-    }
-}
-
-/// FIFO ticket lock built on `fetch_and_increment` (extension; not used by
-/// the paper's experiments but handy for ablations: fairness at the price
-/// of preemption-sensitivity even worse than TTAS).
-pub struct TicketLock<P: Platform> {
-    next_ticket: P::Cell,
-    now_serving: P::Cell,
-    backoff: BackoffConfig,
-}
-
-impl<P: Platform> TicketLock<P> {
-    /// Creates an unlocked lock with default backoff.
-    pub fn new(platform: &P) -> Self {
-        Self::with_backoff(platform, BackoffConfig::DEFAULT)
-    }
-
-    /// Creates an unlocked lock with explicit backoff parameters.
-    pub fn with_backoff(platform: &P, backoff: BackoffConfig) -> Self {
-        TicketLock {
-            next_ticket: platform.alloc_cell(0),
-            now_serving: platform.alloc_cell(0),
-            backoff,
-        }
-    }
-}
-
-impl<P: Platform> RawLock<P> for TicketLock<P> {
-    fn lock(&self, platform: &P) -> Acquired {
-        let my_ticket = self.next_ticket.fetch_add(1);
-        let mut backoff = Backoff::new(self.backoff);
-        while self.now_serving.load() != my_ticket {
-            backoff.spin(platform);
-        }
-        Acquired::Clean
-    }
-
-    fn unlock(&self, _platform: &P) {
-        self.now_serving.fetch_add(1);
-    }
-
-    fn try_lock(&self, _platform: &P) -> bool {
-        let serving = self.now_serving.load();
-        // Claim the next ticket only if it would be served immediately.
-        self.next_ticket.cas(serving, serving.wrapping_add(1))
     }
 }
 
@@ -212,69 +116,13 @@ mod tests {
     }
 
     #[test]
-    fn tas_lock_excludes() {
-        exercise_mutual_exclusion(TasLock::new);
-    }
-
-    #[test]
     fn ttas_lock_excludes() {
         exercise_mutual_exclusion(TtasLock::new);
     }
 
     #[test]
-    fn ticket_lock_excludes() {
-        exercise_mutual_exclusion(TicketLock::new);
-    }
-
-    #[test]
     fn revocable_lock_excludes() {
         exercise_mutual_exclusion(RevocableLock::new);
-    }
-
-    #[test]
-    fn try_lock_succeeds_only_when_free() {
-        fn check<L: RawLock<NativePlatform>>(p: &NativePlatform, lock: L) {
-            assert!(lock.try_lock(p));
-            assert!(!lock.try_lock(p));
-            lock.unlock(p);
-            assert!(lock.try_lock(p));
-        }
-        let p = NativePlatform::new();
-        check(&p, TasLock::new(&p));
-        check(&p, TtasLock::new(&p));
-        check(&p, TicketLock::new(&p));
-        check(&p, RevocableLock::new(&p));
-    }
-
-    #[test]
-    fn ticket_lock_is_fifo_under_simulation() {
-        use msq_sim::{SimConfig, Simulation};
-        let sim = Simulation::new(SimConfig {
-            processors: 4,
-            ..SimConfig::default()
-        });
-        let platform = sim.platform();
-        let lock = Arc::new(TicketLock::new(&platform));
-        let order = Arc::new(platform.alloc_cell(0));
-        let grants = Arc::new(std::sync::Mutex::new(Vec::new()));
-        sim.run({
-            let grants = Arc::clone(&grants);
-            move |info| {
-                for _ in 0..5 {
-                    lock.lock(&platform);
-                    let seq = order.fetch_add(1);
-                    grants.lock().unwrap().push((seq, info.pid));
-                    lock.unlock(&platform);
-                }
-            }
-        });
-        let mut grants = Arc::try_unwrap(grants).unwrap().into_inner().unwrap();
-        grants.sort_unstable();
-        assert_eq!(grants.len(), 20);
-        // Every process got all 5 of its acquisitions.
-        for pid in 0..4 {
-            assert_eq!(grants.iter().filter(|&&(_, p)| p == pid).count(), 5);
-        }
     }
 
     #[test]

@@ -138,13 +138,6 @@ impl<P: Platform> RawLock<P> for RevocableLock<P> {
     fn unlock(&self, _platform: &P) {
         self.word.store(FREE);
     }
-
-    /// Attempts a clean acquisition without spinning; `true` on
-    /// success. Never revokes.
-    fn try_lock(&self, platform: &P) -> bool {
-        let me = HELD_TAG | (platform.affinity_hint() as u64 & ID_MASK);
-        self.word.cas(FREE, me)
-    }
 }
 
 /// Whether a blocking queue runs the crash-repair protocol of DESIGN.md

@@ -76,8 +76,7 @@
 //! | Prakash, Lee & Johnson \[16\] | [`PljQueue`](crate::PljQueue) — two-variable snapshot + helping |
 //! | Valois \[24\] + corrected memory management \[13\] | [`ValoisQueue`](crate::ValoisQueue) over [`arena::RcArena`](crate::arena::RcArena) |
 //! | Treiber's stack \[21\] | [`TreiberStack`](crate::TreiberStack) (word/arena) and [`LockFreeStack`](crate::LockFreeStack) (generic) |
-//! | Lamport's SPSC queue \[9\] | [`LamportQueue`](crate::LamportQueue) (word) and [`core::spsc`](crate::core::spsc) (typed, statically SPSC) |
-//! | MCS locks \[12\] | [`sync::McsLock`](crate::sync::McsLock) / [`sync::ClhLock`](crate::sync::ClhLock) |
+//! | Lamport's SPSC queue \[9\] | [`LamportQueue`](crate::LamportQueue) — a ring of words, one producer and one consumer |
 //!
 //! ## Choosing a queue (the paper's conclusions, in API terms)
 //!
@@ -87,5 +86,5 @@
 //!   machine: [`TwoLockQueue`](crate::TwoLockQueue).
 //! * Queue touched by only one or two threads: a single lock "will run a
 //!   little faster" — `Mutex<VecDeque>`; and if the two threads are one
-//!   producer and one consumer, [`spsc_channel`](crate::spsc_channel)
-//!   beats everything without a single atomic RMW.
+//!   producer and one consumer, Lamport's ring
+//!   ([`LamportQueue`](crate::LamportQueue)) needs no atomic RMW at all.

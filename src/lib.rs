@@ -84,9 +84,9 @@ pub use msq_baselines::{
     SingleLockQueue, TreiberStack, ValoisQueue,
 };
 pub use msq_core::{
-    spsc_channel, EpochMsQueue, LockFreeStack, MsQueue, RepairableTwoLockQueue, SegConfig,
-    SegQueue, SegStats, ShardedQueue, TwoLockQueue, WordMsQueue, WordSegQueue, WordShardedQueue,
-    WordTwoLockQueue, DEFAULT_SHARDS,
+    EpochMsQueue, LockFreeStack, MsQueue, RepairableTwoLockQueue, SegConfig, SegQueue, SegStats,
+    ShardedQueue, TwoLockQueue, WordMsQueue, WordSegQueue, WordShardedQueue, WordTwoLockQueue,
+    DEFAULT_SHARDS,
 };
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub use msq_harness::{
@@ -105,6 +105,4 @@ pub use msq_sim::{
     schedule_sweep, BlockedKind, FaultAction, FaultPlan, FaultSpec, FaultTrigger, RecoveryPolicy,
     RecoveryReport, RepairReport, SimConfig, SimPlatform, SimReport, Simulation,
 };
-pub use msq_sync::{
-    Acquired, ClhLock, McsLock, RawLock, RevocableLock, TasLock, TicketLock, TokenLock, TtasLock,
-};
+pub use msq_sync::{Acquired, RawLock, RevocableLock, TtasLock};
