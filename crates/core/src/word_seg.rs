@@ -263,6 +263,13 @@ impl<P: Platform> ConcurrentWordQueue for WordSegQueue<P> {
             // Slow path: the tail segment is full — the paper's E8–E13,
             // once per seg_size enqueues.
             let next = self.arena.next(seg);
+            // E7: `next` is meaningful only if `seg` was still the tail
+            // when it was read. Once recycled, the segment's next word is
+            // a free-list link, and acting on it would swing Tail onto a
+            // free segment or link after a segment that is not full.
+            if self.tail.load() != tail_raw {
+                continue;
+            }
             if !next.is_null() {
                 // E12: Tail is lagging; help swing it and retry.
                 self.tail.cas(tail_raw, tail.with_index(next.index()).raw());
@@ -330,21 +337,23 @@ impl<P: Platform> ConcurrentWordQueue for WordSegQueue<P> {
 
             if d >= k {
                 // Segment fully consumed: unlink it (the paper's D10–D14,
-                // once per seg_size dequeues).
+                // once per seg_size dequeues). D3–D5 order: Tail before
+                // `next`, then re-check Head. An unchanged Head means `seg`
+                // was still the head, so not recycled, when `next` was
+                // read; a recycled segment's next word is a free-list link.
+                let tail_raw = self.tail.load();
                 let next = self.arena.next(seg);
-                if next.is_null() {
-                    // Empty — provided the head has not moved, in which
-                    // case the null `next` was read while `seg` was the
-                    // (fully drained) head segment: the linearization
-                    // point of this empty dequeue.
-                    if self.head.load() == head_raw {
-                        return None;
-                    }
+                if self.head.load() != head_raw {
                     continue;
+                }
+                if next.is_null() {
+                    // Empty: the null `next` was read while `seg` was the
+                    // (fully drained) head segment, the linearization
+                    // point of this empty dequeue.
+                    return None;
                 }
                 // Head must never pass Tail: help Tail off this segment
                 // first (the D9 helping rule).
-                let tail_raw = self.tail.load();
                 let tail = Tagged::from_raw(tail_raw);
                 if tail.index() == seg {
                     self.tail.cas(tail_raw, tail.with_index(next.index()).raw());
@@ -524,6 +533,11 @@ impl<P: Platform> ConcurrentWordQueue for WordSegQueue<P> {
             }
             // t >= k: tail segment full — the splice path.
             let next = self.arena.next(seg);
+            // E7, as in `enqueue`: a recycled segment's next word is a
+            // free-list link.
+            if self.tail.load() != tail_raw {
+                continue;
+            }
             if !next.is_null() {
                 // Tail is lagging; help swing it and retry. Helping is
                 // progress, so no backoff here.
