@@ -337,10 +337,10 @@ impl<P: Platform> ConcurrentWordQueue for WordSegQueue<P> {
 
             if d >= k {
                 // Segment fully consumed: unlink it (the paper's D10–D14,
-                // once per seg_size dequeues). D3–D5 order: Tail before
-                // `next`, then re-check Head. An unchanged Head means `seg`
-                // was still the head, so not recycled, when `next` was
-                // read; a recycled segment's next word is a free-list link.
+                // once per seg_size dequeues). Read Tail, then `next`, then
+                // re-check Head (D3–D5): an unchanged Head means `seg` was
+                // still the head, so not recycled, when both were read. A
+                // recycled segment's next word is a free-list link.
                 let tail_raw = self.tail.load();
                 let next = self.arena.next(seg);
                 if self.head.load() != head_raw {

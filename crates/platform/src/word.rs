@@ -6,8 +6,8 @@
 /// The operation set mirrors what Michael & Scott emulated with
 /// `load_linked`/`store_conditional` on the SGI Challenge:
 /// `compare_and_swap` (for the non-blocking queues), `fetch_and_store`
-/// a.k.a. swap (for Mellor-Crummey's queue), `fetch_and_add` (ticket locks,
-/// Valois reference counts), and `test_and_set` (simple spin locks).
+/// a.k.a. swap (for Mellor-Crummey's queue), `fetch_and_add` (Valois
+/// reference counts, segment slot claims), and `test_and_set` (spin locks).
 ///
 /// All operations are sequentially consistent. The paper reasons about an
 /// SC machine, and the simulator executes one operation at a time in virtual

@@ -11,6 +11,7 @@
 //! cargo run --release --example multiprogrammed
 //! ```
 
+use ms_queues::harness::figure_machine;
 use ms_queues::{
     run_scenario_simulated, Algorithm, FaultPlan, PairedScenario, SimConfig, WorkloadConfig,
 };
@@ -22,10 +23,6 @@ fn main() {
         capacity: 2_048,
         mem_budget: None,
     };
-    // The paper ran 10^6 pairs against a 10 ms quantum; with the op count
-    // scaled down 250x, scale the quantum (and switch cost) to match so
-    // each process still experiences many preemptions over its lifetime.
-    let quantum_ns = 10_000_000 * workload.pairs_total / 1_000_000;
     let processors = 4;
     println!("net time (s per 10^6 pairs) on a simulated {processors}-processor machine\n");
     println!(
@@ -35,12 +32,14 @@ fn main() {
     for algorithm in Algorithm::ALL {
         let mut nets = Vec::new();
         for processes_per_processor in 1..=3 {
+            // The paper ran 10^6 pairs against a 10 ms quantum; the
+            // figures' machine scales the quantum (and switch cost) with
+            // the op count, so each process still experiences many
+            // preemptions over its lifetime.
             let config = SimConfig {
                 processors,
                 processes_per_processor,
-                quantum_ns,
-                ctx_switch_ns: quantum_ns / 400, // paper ratio: 25 µs : 10 ms
-                ..SimConfig::default()
+                ..figure_machine(workload.pairs_total, None)
             };
             let scenario = PairedScenario { workload };
             let out = run_scenario_simulated(algorithm, config, scenario, FaultPlan::new());

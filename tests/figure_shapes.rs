@@ -4,6 +4,7 @@
 //! what the reproduction must preserve — see EXPERIMENTS.md for the
 //! full-size runs).
 
+use ms_queues::harness::figure_machine;
 use ms_queues::{
     run_scenario_simulated, Algorithm, BatchedScenario, FaultPlan, MeasuredPoint, PairedScenario,
     SimConfig, WorkloadConfig,
@@ -18,22 +19,17 @@ fn workload() -> WorkloadConfig {
     }
 }
 
+/// The `figures` harness's machine (quantum and context switch scaled to
+/// this workload's pair count) with one process per processor.
 fn dedicated(processors: usize) -> SimConfig {
-    SimConfig {
-        processors,
-        ..SimConfig::default()
-    }
+    multiprogrammed(processors, 1)
 }
 
 fn multiprogrammed(processors: usize, level: usize) -> SimConfig {
     SimConfig {
         processors,
         processes_per_processor: level,
-        // Scale the paper's 10 ms quantum with the reduced op count, as the
-        // figures harness does.
-        quantum_ns: 10_000_000 * 3_000 / 1_000_000,
-        ctx_switch_ns: 75,
-        ..SimConfig::default()
+        ..figure_machine(workload().pairs_total, None)
     }
 }
 
