@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use msq_platform::{AtomicWord, Platform, Tagged, NULL_INDEX};
+use msq_platform::{AtomicWord, CellArray, Platform, Tagged, NULL_INDEX};
 
 use crate::budget::MemBudget;
 
@@ -33,8 +33,8 @@ use crate::budget::MemBudget;
 /// arena.free(node);
 /// ```
 pub struct NodeArena<P: Platform> {
-    values: Vec<P::Cell>,
-    nexts: Vec<P::Cell>,
+    values: CellArray<P>,
+    nexts: CellArray<P>,
     free_top: P::Cell,
     capacity: u32,
     /// Budget the whole pool is accounted against (one unit per node,
@@ -112,7 +112,7 @@ impl<P: Platform> NodeArena<P> {
             // Reading the next link of the would-be-popped node is safe even
             // if it is concurrently popped and reused: the CAS below fails
             // (counter mismatch) and we retry.
-            let next = Tagged::from_raw(self.nexts[top.index() as usize].load());
+            let next = Tagged::from_raw(self.nexts.get(top.index() as usize).load());
             if self
                 .free_top
                 .cas(top.raw(), top.with_index(next.index()).raw())
@@ -146,36 +146,35 @@ impl<P: Platform> NodeArena<P> {
 
     /// Reads a node's value word.
     pub fn value(&self, node: u32) -> u64 {
-        self.values[node as usize].load()
+        self.values.get(node as usize).load()
     }
 
     /// Writes a node's value word.
     pub fn set_value(&self, node: u32, value: u64) {
-        self.values[node as usize].store(value)
+        self.values.get(node as usize).store(value)
     }
 
     /// Reads a node's next word.
     pub fn next(&self, node: u32) -> Tagged {
-        Tagged::from_raw(self.nexts[node as usize].load())
+        Tagged::from_raw(self.nexts.get(node as usize).load())
     }
 
     /// Points `node`'s next word at `to` (or [`NULL_INDEX`]), preserving the
     /// word's modification counter by bumping it — so an in-flight CAS by
     /// another process keyed to the old contents cannot spuriously succeed.
     pub fn set_next(&self, node: u32, to: u32) {
-        let old = Tagged::from_raw(self.nexts[node as usize].load());
-        self.nexts[node as usize].store(old.with_index(to).raw());
+        let old = Tagged::from_raw(self.nexts.get(node as usize).load());
+        self.nexts
+            .get(node as usize)
+            .store(old.with_index(to).raw());
     }
 
     /// CAS on `node`'s next word: installs `<to, expected.tag + 1>` if the
     /// word still equals `expected` (Figure 1 line E9).
     pub fn cas_next(&self, node: u32, expected: Tagged, to: u32) -> bool {
-        self.nexts[node as usize].cas(expected.raw(), expected.with_index(to).raw())
-    }
-
-    /// Direct access to the value-word cell.
-    pub fn value_cell(&self, node: u32) -> &P::Cell {
-        &self.values[node as usize]
+        self.nexts
+            .get(node as usize)
+            .cas(expected.raw(), expected.with_index(to).raw())
     }
 }
 

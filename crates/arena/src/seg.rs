@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use msq_platform::{AtomicWord, Platform, Tagged, NULL_INDEX};
+use msq_platform::{AtomicWord, CellArray, CellRef, Platform, Tagged, NULL_INDEX};
 
 use crate::MemBudget;
 
@@ -41,7 +41,7 @@ use crate::MemBudget;
 ///
 /// ```
 /// use msq_arena::SegArena;
-/// use msq_platform::{AtomicWord, NativePlatform, Tagged};
+/// use msq_platform::NativePlatform;
 ///
 /// let platform = NativePlatform::new();
 /// let arena = SegArena::new(&platform, 4, 8);
@@ -52,22 +52,22 @@ use crate::MemBudget;
 /// ```
 pub struct SegArena<P: Platform> {
     /// Slot states, `seg * seg_size + slot`: `{state, gen}`.
-    states: Vec<P::Cell>,
+    states: CellArray<P>,
     /// Slot values, `seg * seg_size + slot`: raw payloads.
-    values: Vec<P::Cell>,
+    values: CellArray<P>,
     /// Per-segment claim counters: `{count, gen}`.
-    enq_counts: Vec<P::Cell>,
+    enq_counts: CellArray<P>,
     /// Per-segment dequeue indices: `{index, gen}`.
-    deq_idxs: Vec<P::Cell>,
+    deq_idxs: CellArray<P>,
     /// Per-segment prefill counts: `{count, gen}`. Written only while a
     /// segment is privately owned (before a bulk splice publishes it);
     /// slots below the prefill count are published by the splice CAS
     /// itself, with no per-slot state transition.
-    prefills: Vec<P::Cell>,
+    prefills: CellArray<P>,
     /// Per-segment links: `{segment index, modification counter}`.
-    nexts: Vec<P::Cell>,
+    nexts: CellArray<P>,
     /// Per-segment authoritative generation (full 64-bit, monotone).
-    gens: Vec<P::Cell>,
+    gens: CellArray<P>,
     free_top: P::Cell,
     seg_count: u32,
     seg_size: u32,
@@ -125,7 +125,16 @@ impl<P: Platform> SegArena<P> {
         let fresh =
             |count| platform.alloc_cells(std::iter::repeat_n(Tagged::new(0, 0).raw(), count));
         let segs = seg_count as usize;
-        let states = fresh(slots);
+        // One padded cell per slot state natively, where every other array
+        // is dense: an enqueuer's state CAS and a dequeuer's on the next
+        // slot would share a line, and dense states cost a contended
+        // two-thread pair 15-21% (DESIGN.md §3). Under the simulator these
+        // are the cells, and ids, that `alloc_cells` would return.
+        let states = CellArray::from_cells(
+            (0..slots)
+                .map(|_| platform.alloc_cell(Tagged::new(0, 0).raw()))
+                .collect(),
+        );
         let values = zeroed(slots);
         let enq_counts = fresh(segs);
         let deq_idxs = fresh(segs);
@@ -208,7 +217,7 @@ impl<P: Platform> SegArena<P> {
             }
             // Safe even if the would-be-popped segment is concurrently
             // popped and reused: the CAS below fails (counter mismatch).
-            let next = Tagged::from_raw(self.nexts[top.index() as usize].load());
+            let next = Tagged::from_raw(self.nexts.get(top.index() as usize).load());
             if self
                 .free_top
                 .cas(top.raw(), top.with_index(next.index()).raw())
@@ -231,15 +240,23 @@ impl<P: Platform> SegArena<P> {
     /// Panics (debug builds) if `seg` is out of range.
     pub fn free(&self, seg: u32) {
         debug_assert!(seg < self.seg_count);
-        let gen = self.gens[seg as usize].fetch_add(1).wrapping_add(1);
+        let gen = self.gens.get(seg as usize).fetch_add(1).wrapping_add(1);
         let gtag = gen as u32;
         let base = (seg as usize) * (self.seg_size as usize);
         for slot in 0..self.seg_size as usize {
-            self.states[base + slot].store(Tagged::new(0, gtag).raw());
+            self.states
+                .get(base + slot)
+                .store(Tagged::new(0, gtag).raw());
         }
-        self.enq_counts[seg as usize].store(Tagged::new(0, gtag).raw());
-        self.deq_idxs[seg as usize].store(Tagged::new(0, gtag).raw());
-        self.prefills[seg as usize].store(Tagged::new(0, gtag).raw());
+        self.enq_counts
+            .get(seg as usize)
+            .store(Tagged::new(0, gtag).raw());
+        self.deq_idxs
+            .get(seg as usize)
+            .store(Tagged::new(0, gtag).raw());
+        self.prefills
+            .get(seg as usize)
+            .store(Tagged::new(0, gtag).raw());
         loop {
             let top = Tagged::from_raw(self.free_top.load());
             self.set_next(seg, top.index());
@@ -259,27 +276,29 @@ impl<P: Platform> SegArena<P> {
     /// The segment's current generation. Its low 32 bits are the tag
     /// carried by the segment's state/claim/dequeue words.
     pub fn gen(&self, seg: u32) -> u64 {
-        self.gens[seg as usize].load()
+        self.gens.get(seg as usize).load()
     }
 
     /// Direct access to a slot's state word (`{state, gen}`).
-    pub fn state_cell(&self, seg: u32, slot: u32) -> &P::Cell {
-        &self.states[(seg as usize) * (self.seg_size as usize) + slot as usize]
+    pub fn state_cell(&self, seg: u32, slot: u32) -> CellRef<'_, P> {
+        self.states
+            .get((seg as usize) * (self.seg_size as usize) + slot as usize)
     }
 
     /// Direct access to a slot's value word.
-    pub fn value_cell(&self, seg: u32, slot: u32) -> &P::Cell {
-        &self.values[(seg as usize) * (self.seg_size as usize) + slot as usize]
+    pub fn value_cell(&self, seg: u32, slot: u32) -> CellRef<'_, P> {
+        self.values
+            .get((seg as usize) * (self.seg_size as usize) + slot as usize)
     }
 
     /// Direct access to the segment's claim-counter word (`{count, gen}`).
-    pub fn enq_cell(&self, seg: u32) -> &P::Cell {
-        &self.enq_counts[seg as usize]
+    pub fn enq_cell(&self, seg: u32) -> CellRef<'_, P> {
+        self.enq_counts.get(seg as usize)
     }
 
     /// Direct access to the segment's dequeue-index word (`{index, gen}`).
-    pub fn deq_cell(&self, seg: u32) -> &P::Cell {
-        &self.deq_idxs[seg as usize]
+    pub fn deq_cell(&self, seg: u32) -> CellRef<'_, P> {
+        self.deq_idxs.get(seg as usize)
     }
 
     /// Direct access to the segment's prefill-count word (`{count, gen}`).
@@ -288,26 +307,28 @@ impl<P: Platform> SegArena<P> {
     /// splice: their value words are authoritative and their state words
     /// are still in the reset (`EMPTY`) state. Dequeuers must consult this
     /// word before interpreting a slot's state.
-    pub fn prefill_cell(&self, seg: u32) -> &P::Cell {
-        &self.prefills[seg as usize]
+    pub fn prefill_cell(&self, seg: u32) -> CellRef<'_, P> {
+        self.prefills.get(seg as usize)
     }
 
     /// Reads a segment's next word.
     pub fn next(&self, seg: u32) -> Tagged {
-        Tagged::from_raw(self.nexts[seg as usize].load())
+        Tagged::from_raw(self.nexts.get(seg as usize).load())
     }
 
     /// Points `seg`'s next word at `to` (or [`NULL_INDEX`]), bumping the
     /// modification counter as [`NodeArena::set_next`](crate::NodeArena::set_next) does.
     pub fn set_next(&self, seg: u32, to: u32) {
-        let old = Tagged::from_raw(self.nexts[seg as usize].load());
-        self.nexts[seg as usize].store(old.with_index(to).raw());
+        let old = Tagged::from_raw(self.nexts.get(seg as usize).load());
+        self.nexts.get(seg as usize).store(old.with_index(to).raw());
     }
 
     /// CAS on `seg`'s next word: installs `<to, expected.tag + 1>` if the
     /// word still equals `expected`.
     pub fn cas_next(&self, seg: u32, expected: Tagged, to: u32) -> bool {
-        self.nexts[seg as usize].cas(expected.raw(), expected.with_index(to).raw())
+        self.nexts
+            .get(seg as usize)
+            .cas(expected.raw(), expected.with_index(to).raw())
     }
 }
 

@@ -21,7 +21,7 @@
 //!   `valois_exhaustion` integration test and `valois_leak` example
 //!   demonstrate it, mirroring the paper's 64,000-node experiment.
 
-use msq_platform::{AtomicWord, Platform, Tagged};
+use msq_platform::{AtomicWord, CellArray, Platform, Tagged};
 
 use crate::arena::NodeArena;
 
@@ -33,7 +33,7 @@ use crate::arena::NodeArena;
 /// reference).
 pub struct RcArena<P: Platform> {
     arena: NodeArena<P>,
-    refs: Vec<P::Cell>,
+    refs: CellArray<P>,
 }
 
 impl<P: Platform> RcArena<P> {
@@ -78,7 +78,7 @@ impl<P: Platform> RcArena<P> {
         // The free list holds nodes claimed (odd count). Adding 1 clears the
         // claim flag and establishes count 1 in a single atomic step, so
         // stray increments from stale readers interleave harmlessly.
-        let prev = self.refs[node as usize].fetch_add(1);
+        let prev = self.refs.get(node as usize).fetch_add(1);
         debug_assert!(prev & 1 == 1, "allocated node must have been claimed");
         // Reclamation interprets `next` as a counted link, so it must never
         // carry stale free-list threading once the node is live.
@@ -89,13 +89,13 @@ impl<P: Platform> RcArena<P> {
     /// Records a new reference (a structure link or copied local pointer)
     /// to `node`.
     pub fn add_ref(&self, node: u32) {
-        self.refs[node as usize].fetch_add(2);
+        self.refs.get(node as usize).fetch_add(2);
     }
 
     /// Drops a reference to `node`, reclaiming it (and releasing its link
     /// reference to its successor) if the count reaches zero.
     pub fn release(&self, node: u32) {
-        let prev = self.refs[node as usize].fetch_sub(2);
+        let prev = self.refs.get(node as usize).fetch_sub(2);
         debug_assert!(prev >= 2, "release without a matching reference");
         if prev == 2 {
             self.try_reclaim(node);
@@ -116,7 +116,7 @@ impl<P: Platform> RcArena<P> {
                 return None;
             }
             let node = link.index();
-            self.refs[node as usize].fetch_add(2);
+            self.refs.get(node as usize).fetch_add(2);
             if cell.load() == observed {
                 return Some(link);
             }
@@ -130,13 +130,13 @@ impl<P: Platform> RcArena<P> {
     /// Current reference count of `node` (for tests and diagnostics; racy
     /// by nature).
     pub fn ref_count(&self, node: u32) -> u64 {
-        self.refs[node as usize].load() >> 1
+        self.refs.get(node as usize).load() >> 1
     }
 
     fn try_reclaim(&self, node: u32) {
         // Only the process that wins the claim flag pushes the node to the
         // free list; late decrementers see a non-zero word and stand down.
-        if self.refs[node as usize].cas(0, 1) {
+        if self.refs.get(node as usize).cas(0, 1) {
             let successor = self.arena.next(node);
             self.arena.free(node);
             if !successor.is_null() {

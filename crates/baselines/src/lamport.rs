@@ -5,7 +5,7 @@
 //! producer owns `tail`, the consumer owns `head`, and neither ever
 //! executes an atomic read-modify-write — both operations are wait-free.
 
-use msq_platform::{AtomicWord, ConcurrentWordQueue, Platform, QueueFull};
+use msq_platform::{AtomicWord, CellArray, ConcurrentWordQueue, Platform, QueueFull};
 
 /// Lamport's SPSC ring buffer.
 ///
@@ -28,7 +28,7 @@ use msq_platform::{AtomicWord, ConcurrentWordQueue, Platform, QueueFull};
 /// assert_eq!(queue.dequeue(), Some(2));
 /// ```
 pub struct LamportQueue<P: Platform> {
-    buffer: Vec<P::Cell>,
+    buffer: CellArray<P>,
     head: P::Cell,
     tail: P::Cell,
 }
@@ -71,7 +71,9 @@ impl<P: Platform> ConcurrentWordQueue for LamportQueue<P> {
         if tail.wrapping_sub(head) >= self.buffer.len() as u64 {
             return Err(QueueFull(value));
         }
-        self.buffer[(tail % self.buffer.len() as u64) as usize].store(value);
+        self.buffer
+            .get((tail % self.buffer.len() as u64) as usize)
+            .store(value);
         // Publishing the slot before bumping tail is the whole algorithm.
         self.tail.store(tail.wrapping_add(1));
         Ok(())
@@ -82,7 +84,10 @@ impl<P: Platform> ConcurrentWordQueue for LamportQueue<P> {
         if head == self.tail.load() {
             return None;
         }
-        let value = self.buffer[(head % self.buffer.len() as u64) as usize].load();
+        let value = self
+            .buffer
+            .get((head % self.buffer.len() as u64) as usize)
+            .load();
         self.head.store(head.wrapping_add(1));
         Some(value)
     }

@@ -21,7 +21,7 @@
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! batchbench`. Writes `BENCH_batch.json` in the current directory. Pass
 //! `--smoke` for a scaled-down CI sanity run (same cells, same JSON
-//! shape).
+//! shape), written under `target/bench-smoke/` instead.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -334,6 +334,6 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");
+    msq_bench::write_report("BENCH_batch.json", smoke, &json);
     println!("{json}");
 }

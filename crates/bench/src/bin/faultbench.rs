@@ -35,7 +35,8 @@
 //!
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! faultbench`. Writes `BENCH_fault.json` in the current directory. Pass
-//! `--smoke` for a scaled-down CI sanity run (same cells, same shape).
+//! `--smoke` for a scaled-down CI sanity run (same cells, same shape),
+//! written under `target/bench-smoke/` instead.
 
 use std::fmt::Write as _;
 
@@ -683,6 +684,6 @@ fn main() {
     );
     json.push_str("}\n");
 
-    std::fs::write("BENCH_fault.json", &json).expect("write BENCH_fault.json");
+    msq_bench::write_report("BENCH_fault.json", smoke, &json);
     println!("{json}");
 }

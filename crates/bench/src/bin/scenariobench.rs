@@ -26,7 +26,7 @@
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! scenariobench`. Writes `BENCH_scenario.json` in the current
 //! directory. Pass `--smoke` for a scaled-down CI sanity run (same
-//! cells, same shape).
+//! cells, same shape), written under `target/bench-smoke/` instead.
 
 use std::fmt::Write as _;
 
@@ -295,6 +295,6 @@ fn main() {
     );
     json.push_str("}\n");
 
-    std::fs::write("BENCH_scenario.json", &json).expect("write BENCH_scenario.json");
+    msq_bench::write_report("BENCH_scenario.json", smoke, &json);
     println!("{json}");
 }

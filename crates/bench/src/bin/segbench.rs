@@ -15,7 +15,8 @@
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! segbench`. Writes `BENCH_segqueue.json` in the current directory.
 //! Pass `--smoke` for a scaled-down CI sanity run (same cells, same JSON
-//! shape, sizes small enough for a debug-speed machine).
+//! shape, sizes small enough for a debug-speed machine), written under
+//! `target/bench-smoke/` instead.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -201,6 +202,6 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::write("BENCH_segqueue.json", &json).expect("write BENCH_segqueue.json");
+    msq_bench::write_report("BENCH_segqueue.json", smoke, &json);
     println!("{json}");
 }

@@ -24,7 +24,8 @@
 //!
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! simbench`. Writes `BENCH_sim.json` in the current directory. Pass
-//! `--smoke` for a scaled-down CI sanity run (same cells, same shape).
+//! `--smoke` for a scaled-down CI sanity run (same cells, same shape),
+//! written under `target/bench-smoke/` instead.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -315,6 +316,6 @@ fn main() {
     );
     json.push_str("}\n");
 
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
+    msq_bench::write_report("BENCH_sim.json", smoke, &json);
     println!("{json}");
 }

@@ -14,8 +14,9 @@
 //!   crate, where every shared-memory access is charged virtual time from a
 //!   cache-coherence cost model.
 //!
-//! The [`Platform`] trait is the factory and clock: it allocates cells and
-//! models pure delay (backoff, the workload's "other work" spin).
+//! The [`Platform`] trait is the factory and clock: it allocates cells (and
+//! arrays of them, [`CellArray`]) and models pure delay (backoff, the
+//! workload's "other work" spin).
 //!
 //! # Example
 //!
@@ -31,12 +32,14 @@
 
 #![warn(missing_docs)]
 
+mod array;
 mod backoff;
 mod native;
 mod queue;
 mod tagged;
 mod word;
 
+pub use array::{CellArray, CellRef};
 pub use backoff::{Backoff, BackoffConfig};
 pub use native::{NativeCell, NativePlatform};
 pub use queue::{BatchFull, ConcurrentStack, ConcurrentWordQueue, QueueFull};

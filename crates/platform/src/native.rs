@@ -5,13 +5,24 @@ use std::time::{Duration, Instant};
 
 use crossbeam_utils::CachePadded;
 
+use crate::array::CellArray;
 use crate::word::{AtomicWord, Platform};
 
-/// A cache-line-padded `AtomicU64`.
+/// A cache-line-padded `AtomicU64`: the native platform's hot singleton.
 ///
-/// Padding keeps logically independent hot words (`Head`, `Tail`, lock
-/// words, arena slots) on separate cache lines, as the hand-optimized C in
-/// the paper's experiments did by layout.
+/// Each [`Platform::alloc_cell`] word gets a 128-byte line of its own (two
+/// 64-byte lines, against the adjacent-line prefetcher). Those words are the
+/// ones different processors write at once: `Head`, `Tail`, lock words,
+/// free-list tops, budget counters, repair mode's per-process slots and
+/// segment slot states. Sharing a line would make every enqueue's `Tail`
+/// CAS invalidate the dequeuers' `Head` line.
+///
+/// The bulk arrays are not padded. Node values and links, segment slot
+/// values and ring buffers come from [`Platform::alloc_cells`] as dense
+/// 8-byte words
+/// (see [`CellArray`]), as the nodes of the paper's array-index variant sit
+/// in one array. Padding them would multiply a pool's memory 16×, and its
+/// set-up page faults with it.
 pub struct NativeCell(CachePadded<AtomicU64>);
 
 impl NativeCell {
@@ -76,6 +87,10 @@ impl Platform for NativePlatform {
 
     fn alloc_cell(&self, init: u64) -> NativeCell {
         NativeCell::new(init)
+    }
+
+    fn alloc_cells(&self, inits: impl IntoIterator<Item = u64>) -> CellArray<Self> {
+        CellArray::from_words(inits.into_iter().map(AtomicU64::new).collect())
     }
 
     fn delay(&self, nanos: u64) {

@@ -1,5 +1,7 @@
 //! The [`AtomicWord`] operation set and the [`Platform`] factory trait.
 
+use crate::array::CellArray;
+
 /// A single 64-bit shared-memory word supporting the atomic primitives used
 /// by every algorithm in the reproduction.
 ///
@@ -73,20 +75,24 @@ pub trait Platform: Clone + Send + Sync + Sized + 'static {
     /// simulated time for it.
     fn alloc_cell(&self, init: u64) -> Self::Cell;
 
-    /// Allocates one cell per value of `inits`, in order: the cells (and,
-    /// in the simulator, their ids) that one [`Platform::alloc_cell`] call
-    /// per value would return.
+    /// Allocates one word per value of `inits`, in order, as one
+    /// [`CellArray`].
     ///
-    /// Node pools and ring buffers allocate their cells as arrays through
-    /// this method. The default calls `alloc_cell` once per value; the
-    /// simulator overrides it to take its core lock once per array during
-    /// setup, where an `inits` that uses the platform panics. Like
-    /// `alloc_cell` it is untimed.
-    fn alloc_cells(&self, inits: impl IntoIterator<Item = u64>) -> Vec<Self::Cell> {
-        inits
-            .into_iter()
-            .map(|init| self.alloc_cell(init))
-            .collect()
+    /// Node pools, segment slots and ring buffers allocate their words as
+    /// arrays through this method; hot singletons (`Head`, `Tail`, lock
+    /// words, free-list tops) take one [`Platform::alloc_cell`] each. The
+    /// default stores the cells that one `alloc_cell` call per value
+    /// returns. The simulator stores the same cells, with the same ids,
+    /// but takes its core lock once per array during setup, where an
+    /// `inits` that uses the platform panics. The native platform stores
+    /// dense, unpadded words. Like `alloc_cell` it is untimed.
+    fn alloc_cells(&self, inits: impl IntoIterator<Item = u64>) -> CellArray<Self> {
+        CellArray::from_cells(
+            inits
+                .into_iter()
+                .map(|init| self.alloc_cell(init))
+                .collect(),
+        )
     }
 
     /// Burns `nanos` nanoseconds without touching shared memory.

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use msq_platform::{AtomicWord, Platform};
+use msq_platform::{AtomicWord, CellArray, Platform};
 
 use crate::core::{MemOp, SimShared};
 
@@ -79,7 +79,7 @@ impl Platform for SimPlatform {
         }
     }
 
-    fn alloc_cells(&self, inits: impl IntoIterator<Item = u64>) -> Vec<SimCell> {
+    fn alloc_cells(&self, inits: impl IntoIterator<Item = u64>) -> CellArray<Self> {
         let inits = inits.into_iter();
         // The array before the core's cell table grows, as with one
         // `alloc_cell` per value: the heap layout, and with it the host's
@@ -91,7 +91,7 @@ impl Platform for SimPlatform {
                 shared: Arc::clone(&self.shared),
             });
         });
-        cells
+        CellArray::from_cells(cells)
     }
 
     fn delay(&self, nanos: u64) {
@@ -229,6 +229,7 @@ impl AtomicWord for SimCell {
 mod tests {
     use super::*;
     use crate::{SimConfig, Simulation};
+    use msq_platform::CellRef;
 
     #[test]
     fn setup_mode_operations_are_direct_and_free() {
@@ -282,8 +283,11 @@ mod tests {
         let cells = batched.alloc_cells(inits);
         let one_by_one: Vec<_> = inits.iter().map(|&init| single.alloc_cell(init)).collect();
         let ids = |cells: &[SimCell]| cells.iter().map(|c| c.id).collect::<Vec<_>>();
-        assert_eq!(ids(&cells), ids(&one_by_one));
-        let values: Vec<u64> = cells.iter().map(SimCell::load).collect();
+        let stored = cells
+            .as_cells()
+            .expect("the simulator stores its own cells");
+        assert_eq!(ids(stored), ids(&one_by_one));
+        let values: Vec<u64> = cells.iter().map(CellRef::load).collect();
         assert_eq!(values, inits);
         assert_eq!(batched.alloc_cell(0).id, single.alloc_cell(0).id);
     }
@@ -308,9 +312,10 @@ mod tests {
                     let cells = if batched {
                         p.alloc_cells([2, 4, 6])
                     } else {
-                        [2, 4, 6].map(|init| p.alloc_cell(init)).into()
+                        CellArray::from_cells([2, 4, 6].map(|init| p.alloc_cell(init)).into())
                     };
-                    assert_eq!(cells.iter().map(|c| c.id).collect::<Vec<_>>(), [1, 2, 3]);
+                    let ids = cells.as_cells().expect("simulator cells");
+                    assert_eq!(ids.iter().map(|c| c.id).collect::<Vec<_>>(), [1, 2, 3]);
                     counter.fetch_add(1);
                 }
             })
@@ -377,7 +382,7 @@ mod tests {
                     p.alloc_cell(i).load() + 10
                 }));
                 assert_eq!(
-                    cells.iter().map(SimCell::load).collect::<Vec<_>>(),
+                    cells.iter().map(CellRef::load).collect::<Vec<_>>(),
                     [10, 11, 12]
                 );
             }

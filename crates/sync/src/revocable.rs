@@ -210,7 +210,10 @@ impl<P: Platform> RepairMode<P> for Repair {
     }
 
     fn alloc_cells(platform: &P, count: usize) -> Vec<P::Cell> {
-        platform.alloc_cells(std::iter::repeat_n(0, count))
+        // One padded cell per slot, not a dense `Platform::alloc_cells`
+        // array: different processes write neighbouring slots. Under the
+        // simulator the ids are the same either way.
+        (0..count).map(|_| platform.alloc_cell(0)).collect()
     }
 
     fn cells(cells: &Vec<P::Cell>) -> &[P::Cell] {
