@@ -6,8 +6,15 @@
 //! four ways:
 //!
 //! 1. **construction time**: median and quartiles over repeated builds,
-//!    each queue dropped outside the timing;
-//! 2. **minor page faults per construction**, from `getrusage(2)`;
+//!    each queue dropped outside the timing. The builds run in child
+//!    processes (this bin, re-run with `--construction <label>`), so no
+//!    queue is timed on a heap that the bin's other phases left grown,
+//!    trimmed or past glibc's mmap threshold. Each queue gets several
+//!    children, taken in turns across the queues before any throughput
+//!    round, so every queue's samples span the whole phase and a drift in
+//!    the host's speed reaches them all alike;
+//! 2. **minor page faults per construction**, from `getrusage(2)`, in the
+//!    same children;
 //! 3. **resident bytes per node**: the growth of `VmRSS` while one queue
 //!    of each kind is held, divided by the capacity. This phase runs
 //!    first, on a fresh heap;
@@ -34,9 +41,12 @@ use msq_platform::NativePlatform;
 
 /// Capacity of every queue built: msqbench's `native-*` arena size.
 const CAPACITY: u32 = 16_384;
-/// Construction repetitions per queue (odd, so the median is one of them).
-const BUILDS: usize = 101;
-const SMOKE_BUILDS: usize = 11;
+/// Construction children per queue, and builds per child after its
+/// warm-up build: 105 builds per queue.
+const CHILDREN: usize = 5;
+const BUILDS_PER_CHILD: usize = 21;
+const SMOKE_CHILDREN: usize = 2;
+const SMOKE_BUILDS_PER_CHILD: usize = 5;
 /// Enqueue→dequeue pairs per throughput round.
 const PAIRS: u64 = 1_000_000;
 const SMOKE_PAIRS: u64 = 10_000;
@@ -109,9 +119,10 @@ struct Row {
     pairs_per_s: f64,
 }
 
-/// Builds `builds` queues, timing each construction and counting its
-/// faults; the queue is dropped outside both.
-fn construction(algorithm: Algorithm, builds: usize) -> ([f64; 3], f64) {
+/// Builds `builds` queues after a warm-up build, timing each construction
+/// and counting its faults; the queue is dropped outside both. Returns
+/// the times in microseconds and the faults of all the builds.
+fn construction(algorithm: Algorithm, builds: usize) -> (Vec<f64>, u64) {
     let platform = NativePlatform::new();
     drop(algorithm.build(&platform, CAPACITY)); // warm-up
     let mut micros = Vec::with_capacity(builds);
@@ -125,9 +136,7 @@ fn construction(algorithm: Algorithm, builds: usize) -> ([f64; 3], f64) {
         micros.push(elapsed.as_secs_f64() * 1e6);
         drop(queue);
     }
-    micros.sort_by(f64::total_cmp);
-    let quartiles = [0.25, 0.5, 0.75].map(|q| quantile(&micros, q));
-    (quartiles, faults as f64 / builds as f64)
+    (micros, faults)
 }
 
 /// Median pairs per second over [`ROUNDS`] rounds of `pairs` pairs.
@@ -147,23 +156,29 @@ fn throughput(algorithm: Algorithm, pairs: u64) -> f64 {
     quantile(&rates, 0.5)
 }
 
-/// The text of the object at key `"change"` in a `BENCH_native.json`.
-fn change_block(report: &str) -> &str {
-    let start = report.find("\"change\": {").expect("a \"change\" block") + "\"change\": ".len();
-    let mut depth = 0;
-    for (offset, byte) in report[start..].bytes().enumerate() {
-        match byte {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return &report[start..=start + offset];
-                }
-            }
-            _ => {}
-        }
+/// [`construction`] of `algorithm` in a child process of its own: this
+/// bin re-run with `--construction <label>`, which prints the faults and
+/// then each build's microseconds on one line.
+fn construction_in_child(algorithm: Algorithm, smoke: bool) -> (Vec<f64>, u64) {
+    let exe = std::env::current_exe().expect("this bin's path");
+    let mut child = std::process::Command::new(exe);
+    child.args(["--construction", algorithm.label()]);
+    if smoke {
+        child.arg("--smoke");
     }
-    panic!("unterminated \"change\" block");
+    let out = child.output().expect("run a construction child");
+    assert!(
+        out.status.success(),
+        "{algorithm} construction child failed"
+    );
+    let line = String::from_utf8(out.stdout).expect("UTF-8 child output");
+    let mut numbers = line.split_whitespace();
+    let faults = numbers
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("{algorithm} construction child printed {line:?}"));
+    let micros = numbers.map(|n| n.parse().expect("a number")).collect();
+    (micros, faults)
 }
 
 /// A number from `block`'s row for `algorithm`.
@@ -172,25 +187,30 @@ fn field(block: &str, algorithm: Algorithm, key: &str) -> f64 {
         .lines()
         .find(|l| l.contains(&format!("\"algorithm\": \"{}\"", algorithm.label())))
         .unwrap_or_else(|| panic!("no {algorithm} row in the parent block"));
-    let tail = &row[row.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4..];
-    tail[..tail.find([',', '}']).expect("a number")]
-        .trim()
-        .parse()
-        .expect("a number")
+    msq_bench::number_field(row, key).expect(key)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
+    let (children, builds_per_child, pairs) = if smoke {
+        (SMOKE_CHILDREN, SMOKE_BUILDS_PER_CHILD, SMOKE_PAIRS)
+    } else {
+        (CHILDREN, BUILDS_PER_CHILD, PAIRS)
+    };
+    let builds = children * builds_per_child;
+    if let Some(i) = args.iter().position(|a| a == "--construction") {
+        let label = args.get(i + 1).expect("--construction takes a queue label");
+        let algorithm = Algorithm::from_label(label).expect("a registry queue label");
+        let (micros, faults) = construction(algorithm, builds_per_child);
+        let micros: String = micros.iter().map(|us| format!(" {us}")).collect();
+        println!("{faults}{micros}");
+        return;
+    }
     let parent = args.iter().position(|a| a == "--parent").map(|i| {
         let path = args.get(i + 1).expect("--parent takes a file");
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
     });
-    let (builds, pairs) = if smoke {
-        (SMOKE_BUILDS, SMOKE_PAIRS)
-    } else {
-        (BUILDS, PAIRS)
-    };
     let platform = NativePlatform::new();
 
     // Resident memory first, on a fresh heap: one queue of each kind is
@@ -204,10 +224,31 @@ fn main() {
     }
     drop(held);
 
+    // Every construction before any throughput round, in children taken
+    // in turns across the queues.
+    let mut samples = vec![(Vec::new(), 0); Algorithm::WITH_EXTENSIONS.len()];
+    for _ in 0..children {
+        for (algorithm, (all_micros, all_faults)) in
+            Algorithm::WITH_EXTENSIONS.into_iter().zip(&mut samples)
+        {
+            let (micros, faults) = construction_in_child(algorithm, smoke);
+            all_micros.extend(micros);
+            *all_faults += faults;
+        }
+    }
+    let built = samples.into_iter().map(|(mut micros, faults)| {
+        micros.sort_by(f64::total_cmp);
+        let quartiles = [0.25, 0.5, 0.75].map(|q| quantile(&micros, q));
+        (quartiles, faults as f64 / builds as f64)
+    });
+
     let mut rows = Vec::new();
-    for (algorithm, resident_bytes_per_node) in Algorithm::WITH_EXTENSIONS.into_iter().zip(per_node)
+    for ((algorithm, resident_bytes_per_node), (build_us, faults_per_build)) in
+        Algorithm::WITH_EXTENSIONS
+            .into_iter()
+            .zip(per_node)
+            .zip(built)
     {
-        let (build_us, faults_per_build) = construction(algorithm, builds);
         let pairs_per_s = throughput(algorithm, pairs);
         eprintln!(
             "{:<16} build {:>9.1} us (q1 {:.1}, q3 {:.1}), {faults_per_build:>7.1} faults/build, \
@@ -259,10 +300,14 @@ fn main() {
         json,
         "  \"description\": \"every registry queue on NativePlatform at capacity {CAPACITY}: construction time (median and quartiles, us), minor page faults per construction, resident bytes per node, single-thread enqueue/dequeue pairs per second; parent is the same bin at the commit before the change\","
     );
-    let parent_block = parent.as_deref().map(change_block);
-    let _ = writeln!(json, "  \"parent\": {},", parent_block.unwrap_or("null"));
+    let parent_block = parent.as_deref().map(msq_bench::parent_block);
+    let _ = writeln!(
+        json,
+        "  \"parent\": {},",
+        parent_block.as_deref().unwrap_or("null")
+    );
     let _ = write!(json, "  \"change\": {run}");
-    if let Some(block) = parent_block {
+    if let Some(block) = parent_block.as_deref() {
         // Fixed before either run: the claimed 10x on the queue msqbench's
         // `native-paired` builds, and a smaller pool for every queue.
         let ms = Algorithm::NewNonBlocking;

@@ -22,10 +22,17 @@
 //!    shape — new-two-lock at 64 processors × 3 processes — where the
 //!    scheduler rotates run queues and preempts.
 //!
+//! The numbers go in the report's `"change"` block. The bin uses only the
+//! simulator's and harness's public API, so the same file builds at an
+//! earlier commit for a before/after comparison: `--parent <file>` embeds
+//! the numbers of a `BENCH_sim.json` written there (its `"change"` block,
+//! or the whole file if it predates the flag) as the `"parent"` block, and
+//! adds each run's ops-per-wall-second ratio, change over parent.
+//!
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
-//! simbench`. Writes `BENCH_sim.json` in the current directory. Pass
-//! `--smoke` for a scaled-down CI sanity run (same cells, same shape),
-//! written under `target/bench-smoke/` instead.
+//! simbench [-- --parent <file>]`. Writes `BENCH_sim.json` in the current
+//! directory. Pass `--smoke` for a scaled-down CI sanity run (same cells,
+//! same shape), written under `target/bench-smoke/` instead.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,6 +119,20 @@ impl FigureRun {
         self.total_ops as f64 / self.wall_secs
     }
 
+    /// The same run's ops per wall-second in an earlier report's block:
+    /// the one-line run object with this algorithm, shape and pair count.
+    fn ops_per_sec_in(&self, block: &str) -> Option<f64> {
+        let run = format!(
+            "{{\"algorithm\": \"{}\", \"processors\": {}, \"processes_per_processor\": {}, \"pairs\": {},",
+            self.algorithm.label(),
+            self.processors,
+            self.processes_per_processor,
+            self.pairs
+        );
+        let line = block.lines().find(|l| l.contains(&run))?;
+        msq_bench::number_field(line, "ops_per_wall_sec")
+    }
+
     fn json(&self) -> String {
         format!(
             "{{\"algorithm\": \"{}\", \"processors\": {}, \"processes_per_processor\": {}, \
@@ -184,7 +205,13 @@ fn figure_run(
 }
 
 fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let parent = args.iter().position(|a| a == "--parent").map(|i| {
+        let path = args.get(i + 1).expect("--parent takes a file");
+        let report = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        msq_bench::parent_block(&report)
+    });
     let (sweep_seeds, high_seeds, sweep_pairs, high_pairs_per_proc) = if smoke {
         (
             SMOKE_SWEEP_SEEDS,
@@ -279,36 +306,64 @@ fn main() {
     );
 
     // --- JSON report. ---
+    let mut run = String::from("{\n");
+    let _ = writeln!(run, "    \"sweep\": {{");
+    let _ = writeln!(run, "      \"seeds\": {sweep_seeds},");
+    let _ = writeln!(run, "      \"workload_pairs\": {sweep_pairs},");
+    let _ = writeln!(run, "      \"default_lanes\": {lanes},");
+    let _ = writeln!(run, "      \"serial_secs\": {serial_secs:.4},");
+    let _ = writeln!(run, "      \"default_secs\": {default_secs:.4},");
+    let _ = writeln!(
+        run,
+        "      \"speedup_at_default_lanes\": {sweep_speedup:.3},"
+    );
+    let _ = writeln!(run, "      \"slowdown_bound\": {LANES_SLOWDOWN_BOUND}");
+    run.push_str("    },\n");
+    let _ = writeln!(
+        run,
+        "    \"high_scale_sweep\": {{\"seeds\": {high_seeds}, \"processors\": 64, \"wall_secs\": {high_scale_secs:.4}, \"completed\": {high_scale_completed}}},"
+    );
+    let _ = writeln!(run, "    \"full_scale_fig3\": {},", full_scale.json());
+    let scaling_json: Vec<String> = scaling.iter().map(FigureRun::json).collect();
+    let _ = writeln!(
+        run,
+        "    \"throughput_by_processors\": [\n      {}\n    ]",
+        scaling_json.join(",\n      ")
+    );
+    run.push_str("  }");
+
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"description\": \"simulator wall-clock: 16-seed sweep at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors, Figure 3 (new-nonblocking, 8p x 1) at the paper's 10^6 pairs, and simulated ops per wall-second at 4/64/128/256 processors x 1 (new-nonblocking) and 64 processors x 3 (new-two-lock, the Figure 5 shape)\","
+        "  \"description\": \"simulator wall-clock: 16-seed sweep at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors, Figure 3 (new-nonblocking, 8p x 1) at the paper's 10^6 pairs, and simulated ops per wall-second at 4/64/128/256 processors x 1 (new-nonblocking) and 64 processors x 3 (new-two-lock, the Figure 5 shape); parent is the same bin at the commit before the change\","
     );
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
-    let _ = writeln!(json, "  \"sweep\": {{");
-    let _ = writeln!(json, "    \"seeds\": {sweep_seeds},");
-    let _ = writeln!(json, "    \"workload_pairs\": {sweep_pairs},");
-    let _ = writeln!(json, "    \"default_lanes\": {lanes},");
-    let _ = writeln!(json, "    \"serial_secs\": {serial_secs:.4},");
-    let _ = writeln!(json, "    \"default_secs\": {default_secs:.4},");
     let _ = writeln!(
         json,
-        "    \"speedup_at_default_lanes\": {sweep_speedup:.3},"
+        "  \"parent\": {},",
+        parent.as_deref().unwrap_or("null")
     );
-    let _ = writeln!(json, "    \"slowdown_bound\": {LANES_SLOWDOWN_BOUND}");
-    json.push_str("  },\n");
-    let _ = writeln!(
-        json,
-        "  \"high_scale_sweep\": {{\"seeds\": {high_seeds}, \"processors\": 64, \"wall_secs\": {high_scale_secs:.4}, \"completed\": {high_scale_completed}}},"
-    );
-    let _ = writeln!(json, "  \"full_scale_fig3\": {},", full_scale.json());
-    let scaling_json: Vec<String> = scaling.iter().map(FigureRun::json).collect();
-    let _ = writeln!(
-        json,
-        "  \"throughput_by_processors\": [\n    {}\n  ],",
-        scaling_json.join(",\n    ")
-    );
+    let _ = writeln!(json, "  \"change\": {run},");
+    if let Some(block) = parent.as_deref() {
+        let ratios: Vec<String> = std::iter::once(("full_scale_fig3".to_string(), &full_scale))
+            .chain(
+                scaling
+                    .iter()
+                    .map(|r| (format!("{}x{}", r.processors, r.processes_per_processor), r)),
+            )
+            .filter_map(|(name, r)| {
+                let ratio = r.ops_per_sec() / r.ops_per_sec_in(block)?;
+                eprintln!("{name}: {ratio:.3}x the parent's simulated ops/s");
+                Some(format!("\"{name}\": {ratio:.3}"))
+            })
+            .collect();
+        let _ = writeln!(
+            json,
+            "  \"ops_per_wall_sec_change_over_parent\": {{{}}},",
+            ratios.join(", ")
+        );
+    }
     let _ = writeln!(
         json,
         "  \"acceptance\": {{\"sweep_lanes_no_slower\": {sweep_lanes_no_slower}, \"high_scale_completed\": {high_scale_completed}, \

@@ -57,12 +57,6 @@ pub(crate) struct SharerSet([u64; 4]);
 impl SharerSet {
     pub(crate) const EMPTY: SharerSet = SharerSet([0; 4]);
 
-    fn only(cpu: usize) -> SharerSet {
-        let mut s = SharerSet::EMPTY;
-        s.insert(cpu);
-        s
-    }
-
     fn contains(&self, cpu: usize) -> bool {
         self.0[cpu >> 6] & (1u64 << (cpu & 63)) != 0
     }
@@ -71,15 +65,17 @@ impl SharerSet {
         self.0[cpu >> 6] |= 1u64 << (cpu & 63);
     }
 
+    /// Makes `cpu` the sole sharer, writing each word in place.
+    fn set_only(&mut self, cpu: usize) {
+        for (i, word) in self.0.iter_mut().enumerate() {
+            *word = if i == cpu >> 6 { 1u64 << (cpu & 63) } else { 0 };
+        }
+    }
+
     /// Number of sharers other than `cpu`.
     fn others(&self, cpu: usize) -> u64 {
         let total: u32 = self.0.iter().map(|w| w.count_ones()).sum();
         u64::from(total) - u64::from(self.contains(cpu))
-    }
-
-    /// True when `cpu` is the sole sharer.
-    fn is_exactly(&self, cpu: usize) -> bool {
-        *self == SharerSet::only(cpu)
     }
 }
 
@@ -122,36 +118,41 @@ impl Processor {
 /// at most 256 processors (see [`SimConfig::validate`]).
 const CPU_BITS: u32 = 8;
 
-/// Rank bit of a processor whose run queue is empty: above every ready
-/// time, a stall saturated at `u64::MAX` included, so it ranks last.
-const IDLE: u128 = 1 << (64 + CPU_BITS);
+/// Rank of a processor whose run queue is empty: above every ready rank,
+/// so it ranks last.
+const IDLE: u64 = u64::MAX;
+
+/// The latest ready time a rank holds exactly, 2^56 − 2 ns: `CAP <<
+/// CPU_BITS | cpu` stays below [`IDLE`] for every cpu. Later ready times
+/// rank at the cap and tie by index, so [`Core::pick_next`] re-picks a
+/// capped root by the exact rule.
+const CAP: u64 = (1 << (64 - CPU_BITS)) - 2;
 
 /// Winner (tournament) tree over the processors. A processor's rank packs
-/// `(ready_ns, cpu)` into one integer, the ready time above the index and
-/// [`IDLE`] above both, so `min` orders by ready time and breaks ties by
-/// the lowest index.
+/// `(min(ready_ns, CAP), cpu)` into one `u64`, the ready time above the
+/// index, with [`IDLE`] for an empty run queue, so `min` orders by ready
+/// time and breaks ties by the lowest index.
 ///
 /// `ranks` is a complete binary tree of fixed shape with `leaves =
 /// next_pow2(processors)` leaves: node 1 is the root, node `n` has the
 /// children `2n` and `2n + 1`, and leaf `cpu` is node `leaves + cpu`
 /// (the padding leaves past the last processor rank [`IDLE`]). Every node
 /// holds the least rank in its subtree, so changing one leaf replays only
-/// the ≤ log2(leaves) matches on its path to the root.
+/// the ≤ log2(leaves) matches on its path to the root, each a load, a
+/// `min` and a store.
 struct PickTree {
-    ranks: Vec<u128>,
+    /// The `2 * leaves` ranks, in an allocation of `4 * leaves` words: the
+    /// byte size of the `u128` ranks the tree once held, kept by the rule
+    /// on the simulator's allocation sizes (DESIGN.md §3).
+    ranks: Vec<u64>,
 }
 
 impl PickTree {
     /// A tree over `processors` processors, every one ranked [`IDLE`].
     fn new(processors: usize) -> Self {
         let leaves = processors.next_power_of_two();
-        let mut ranks = vec![IDLE; 2 * leaves];
-        for cpu in 0..leaves {
-            ranks[leaves + cpu] |= cpu as u128;
-        }
-        for node in (1..leaves).rev() {
-            ranks[node] = ranks[2 * node].min(ranks[2 * node + 1]);
-        }
+        let mut ranks = Vec::with_capacity(4 * leaves);
+        ranks.resize(2 * leaves, IDLE);
         PickTree { ranks }
     }
 
@@ -159,7 +160,7 @@ impl PickTree {
     /// replays the matches on its path to the root.
     fn update(&mut self, cpu: usize, ready_ns: Option<u64>) {
         let mut node = self.ranks.len() / 2 + cpu;
-        let mut rank = ready_ns.map_or(IDLE, |ready| u128::from(ready) << CPU_BITS) | cpu as u128;
+        let mut rank = ready_ns.map_or(IDLE, |ready| ready.min(CAP) << CPU_BITS | cpu as u64);
         self.ranks[node] = rank;
         while node > 1 {
             // The parent's subtree least: this side's, or the sibling's.
@@ -169,12 +170,12 @@ impl PickTree {
         }
     }
 
-    /// The winning processor and its ready time, or `None` once every run
-    /// queue is empty.
+    /// The winning processor and its ready time ([`CAP`] for any ready
+    /// time at or past the cap), or `None` once every run queue is empty.
     fn min(&self) -> Option<(usize, u64)> {
         let root = self.ranks[1];
         let cpu = (root & ((1 << CPU_BITS) - 1)) as usize;
-        (root < IDLE).then_some((cpu, (root >> CPU_BITS) as u64))
+        (root != IDLE).then_some((cpu, root >> CPU_BITS))
     }
 }
 
@@ -411,14 +412,14 @@ impl Core {
             state.sharers.insert(cpu);
         } else {
             let others = state.sharers.others(cpu);
-            if state.sharers.is_exactly(cpu) {
+            if others == 0 && state.sharers.contains(cpu) {
                 cost += cfg.t_hit_ns;
                 process.cache_hits += 1;
             } else {
                 cost += cfg.t_miss_ns + cfg.t_inval_ns * others;
                 process.cache_misses += 1;
             }
-            state.sharers = SharerSet::only(cpu);
+            state.sharers.set_only(cpu);
             if !matches!(op, MemOp::Store(_)) {
                 cost += cfg.t_rmw_ns;
             }
@@ -538,10 +539,16 @@ impl Core {
         let clock = processor.clock_ns;
         let processes = &self.processes;
         let stall_end = |p: &usize| processes[*p].blocked_until_ns;
-        let mut ready_ns = processor
-            .run_queue
-            .front()
-            .map(|front| clock.max(stall_end(front)));
+        // Until the run's first stall every stall end is zero, and the
+        // front's need not be looked up.
+        let stalled = self.stalls_injected != 0;
+        let mut ready_ns = processor.run_queue.front().map(|front| {
+            if stalled {
+                clock.max(stall_end(front))
+            } else {
+                clock
+            }
+        });
         if ready_ns > Some(clock) {
             // A stalled front: the first runnable queue-mate takes its place.
             if let Some(first) = processor
@@ -567,21 +574,44 @@ impl Core {
     ///
     /// O(1): the pick tree's root is that processor, because every change
     /// to a clock, a run queue or a stall re-ranked its processor
-    /// ([`Core::refresh`]) as it happened. A process stalled by a fault has
+    /// ([`Core::refresh`]) as it happened. A root ranked at the [`CAP`]
+    /// means every queued processor is ready that late, where ranks tie by
+    /// index, so the pick falls back to [`Core::exact_min`]; only saturated
+    /// or absurdly long stalls get there. A process stalled by a fault has
     /// `blocked_until_ns` in the future and was rotated behind runnable
     /// queue-mates; if *every* process on the chosen processor is stalled,
     /// the processor idles — its clock jumps to the stall's end, which
     /// leaves its rank unchanged. With no faults every `blocked_until_ns` is
     /// zero and this is exactly the least-advanced-clock rule.
     pub(crate) fn pick_next(&mut self) -> usize {
-        let Some((cpu, ready)) = self.pick.min() else {
+        let Some((mut cpu, mut ready)) = self.pick.min() else {
             return NOBODY;
         };
+        if ready == CAP {
+            (ready, cpu) = self.exact_min();
+        }
         let processor = &mut self.processors[cpu];
         processor.clock_ns = processor.clock_ns.max(ready);
         *processor
             .run_queue
             .front()
+            .expect("a ranked processor has a process queued")
+    }
+
+    /// The least `(ready_ns, cpu)` over the processors with a process
+    /// queued, read from their clocks and fronts' stall ends: the rule the
+    /// tree's ranks follow below the [`CAP`], for a root ranked at it.
+    #[cold]
+    fn exact_min(&self) -> (u64, usize) {
+        self.processors
+            .iter()
+            .enumerate()
+            .filter_map(|(cpu, processor)| {
+                let front = *processor.run_queue.front()?;
+                let stall_end = self.processes[front].blocked_until_ns;
+                Some((processor.clock_ns.max(stall_end), cpu))
+            })
+            .min()
             .expect("a ranked processor has a process queued")
     }
 
@@ -1102,13 +1132,15 @@ impl SimShared {
     /// fiber would run inside its unwind.
     fn wait_for_token(&self, pid: usize) -> bool {
         loop {
-            let (finished, holder) =
-                self.with_core(|core| (core.processes[pid].finished, core.running));
-            if finished || std::thread::panicking() {
-                return false;
-            }
+            let holder = self.with_core(|core| core.running);
             if holder == pid {
-                return true;
+                // A seated process is never retired: retiring one re-seats
+                // the token. Only its own unwind takes the direct path.
+                debug_assert!(self.with_core(|core| !core.processes[pid].finished));
+                return !std::thread::panicking();
+            }
+            if self.with_core(|core| core.processes[pid].finished) || std::thread::panicking() {
+                return false;
             }
             self.switch_to(holder);
         }
@@ -1207,6 +1239,64 @@ mod tests {
         // Exclusive re-write by pid 0: hit.
         let (_, c5) = core.apply(0, cell, MemOp::Store(2));
         assert_eq!(c5, core.cfg.t_local_ns + core.cfg.t_hit_ns);
+    }
+
+    /// The sharer set's upper words: loads, stores and RMWs by cpus 3, 70
+    /// and 200 (words 0, 1 and 3) on a 256-processor machine, each pinned
+    /// to its cost, whether it hit, how many sharers it invalidated, and
+    /// the sharer words it left.
+    #[test]
+    fn cost_model_tracks_sharers_in_every_word() {
+        let cfg = SimConfig {
+            processors: 256,
+            ..SimConfig::default()
+        };
+        let mut core = Core::new(cfg, 0);
+        let cell = core.alloc_cell(0);
+        let bit = |cpu: usize| 1u64 << (cpu & 63);
+        // (pid = cpu, op, hit, invalidations, sharer words after).
+        let steps = [
+            (3, MemOp::Load, false, 0, [bit(3), 0, 0, 0]),
+            (3, MemOp::Load, true, 0, [bit(3), 0, 0, 0]),
+            (70, MemOp::Load, false, 0, [bit(3), bit(70), 0, 0]),
+            (200, MemOp::Load, false, 0, [bit(3), bit(70), 0, bit(200)]),
+            (70, MemOp::Store(1), false, 2, [0, bit(70), 0, 0]),
+            (70, MemOp::Store(2), true, 0, [0, bit(70), 0, 0]),
+            (200, MemOp::Load, false, 0, [0, bit(70), 0, bit(200)]),
+            (200, MemOp::FetchAdd(1), false, 1, [0, 0, 0, bit(200)]),
+            (
+                200,
+                MemOp::CompareExchange { current: 9, new: 4 },
+                true,
+                0,
+                [0, 0, 0, bit(200)],
+            ),
+            (3, MemOp::Load, false, 0, [bit(3), 0, 0, bit(200)]),
+            (200, MemOp::Swap(5), false, 1, [0, 0, 0, bit(200)]),
+            (3, MemOp::Store(6), false, 1, [bit(3), 0, 0, 0]),
+        ];
+        let cfg = core.cfg;
+        for (i, (pid, op, hit, invalidations, words)) in steps.into_iter().enumerate() {
+            let (_, cost) = core.apply(pid, cell, op);
+            let expected = cfg.t_local_ns
+                + if hit { cfg.t_hit_ns } else { cfg.t_miss_ns }
+                + cfg.t_inval_ns * invalidations
+                + if matches!(op, MemOp::Load | MemOp::Store(_)) {
+                    0
+                } else {
+                    cfg.t_rmw_ns
+                };
+            assert_eq!(cost, expected, "step {i}: cpu {pid} {op:?}");
+            assert_eq!(core.cells[cell as usize].sharers.0, words, "step {i}");
+        }
+        let counts = |pid: usize| {
+            let p = &core.processes[pid];
+            (p.ops, p.cache_hits, p.cache_misses, p.cas_failures)
+        };
+        assert_eq!(counts(3), (4, 1, 3, 0));
+        assert_eq!(counts(70), (3, 1, 2, 0));
+        assert_eq!(counts(200), (5, 1, 4, 1));
+        assert_eq!(core.cells[cell as usize].value, 6);
     }
 
     #[test]
@@ -1382,12 +1472,41 @@ mod tests {
         }
     }
 
+    /// Whether the pick at this point is one the tree's capped ranks cannot
+    /// make alone: no processor is ready before the [`CAP`], and the
+    /// earliest one past it is not the lowest-indexed, so a pick that broke
+    /// ties past the cap by index would be wrong.
+    fn index_tie_past_the_cap_would_miss(core: &Core) -> bool {
+        let ready: Vec<(u64, usize)> = core
+            .processors
+            .iter()
+            .enumerate()
+            .filter_map(|(cpu, processor)| {
+                let front = *processor.run_queue.front()?;
+                let stall_end = core.processes[front].blocked_until_ns;
+                Some((processor.clock_ns.max(stall_end), cpu))
+            })
+            .collect();
+        let earliest = ready.iter().min();
+        earliest.is_some_and(|&(at, cpu)| at >= CAP && cpu != ready[0].1)
+    }
+
+    /// What one [`drive_scheduler`] run reached.
+    #[derive(Default)]
+    struct Reached {
+        /// Processes retired on a processor idled to `u64::MAX` by a
+        /// saturated stall.
+        saturated: u64,
+        /// Picks where [`index_tie_past_the_cap_would_miss`] held.
+        past_the_cap: u64,
+    }
+
     /// Drives a `Core` with random charges (crossing quantum expiries),
     /// stalls, preempts and retirements until every process has retired,
     /// checking the pick tree against the reference before every pick.
-    /// Returns how many processes were retired on a processor idled to
-    /// `u64::MAX` by a saturated stall.
-    fn drive_scheduler(processors: usize, processes_per_processor: usize, seed: u64) -> u64 {
+    /// Stalls are short, saturated at `u64::MAX`, ending within 2 ns of
+    /// the [`CAP`], or finite and far past it (2^56 − 3 to 2^62 ns).
+    fn drive_scheduler(processors: usize, processes_per_processor: usize, seed: u64) -> Reached {
         let cfg = SimConfig {
             processors,
             processes_per_processor,
@@ -1404,10 +1523,11 @@ mod tests {
         };
         // Scheduler entries each process makes before it finishes.
         let mut entries_left: Vec<u64> = (0..cfg.num_processes()).map(|_| draw(12)).collect();
-        let mut retired_at_end_of_time = 0;
+        let mut reached = Reached::default();
         loop {
             assert_no_stalled_front_ahead_of_a_runnable_mate(&core);
             let expected = reference_pick(&core);
+            reached.past_the_cap += u64::from(index_tie_past_the_cap_would_miss(&core));
             let pid = core.pick_next();
             assert_eq!(
                 pid, expected,
@@ -1416,40 +1536,70 @@ mod tests {
             if pid == NOBODY {
                 break;
             }
-            if core.clock_of(pid) == u64::MAX {
+            let clock = core.clock_of(pid);
+            if clock == u64::MAX {
                 // Retire it as the watchdog would: a charge would overflow.
-                retired_at_end_of_time += 1;
+                reached.saturated += 1;
                 core.remove_process(pid);
             } else if entries_left[pid] == 0 {
                 core.remove_process(pid);
             } else {
                 entries_left[pid] -= 1;
                 match draw(16) {
-                    0 if draw(4) == 0 => core.stall(pid, u64::MAX),
-                    0 => core.stall(pid, draw(6_000)),
-                    1 => core.preempt(pid),
+                    0 | 1 => {
+                        let duration = match draw(4) {
+                            0 => u64::MAX,
+                            1 => (CAP - 2 + draw(5)).saturating_sub(clock),
+                            2 => (CAP - 1) + draw((1 << 62) - CAP),
+                            _ => draw(6_000),
+                        };
+                        core.stall(pid, duration);
+                    }
+                    2 => core.preempt(pid),
                     _ => core.charge(pid, 1 + draw(3_000)),
                 }
             }
         }
         assert_eq!(core.live, 0);
-        retired_at_end_of_time
+        reached
     }
 
     /// Runs [`drive_scheduler`] over `seeds` seeds at each processor count,
     /// dedicated and three processes per processor, and checks that some
-    /// stall saturated at `u64::MAX` at every shape.
+    /// stall saturated at `u64::MAX` at every shape and, with two or more
+    /// processors, that some pick needed the exact rule past the cap.
     fn sweep_scheduler(processor_counts: &[usize], seeds: u64) {
         for &processors in processor_counts {
             for processes_per_processor in [1, 3] {
-                let saturated: u64 = (0..seeds)
-                    .map(|seed| drive_scheduler(processors, processes_per_processor, seed))
-                    .sum();
+                let mut total = Reached::default();
+                for seed in 0..seeds {
+                    let reached = drive_scheduler(processors, processes_per_processor, seed);
+                    total.saturated += reached.saturated;
+                    total.past_the_cap += reached.past_the_cap;
+                }
+                let shape = format!("{processors}x{processes_per_processor}");
                 assert!(
-                    saturated > 0,
-                    "{processors}x{processes_per_processor}: no stall saturated at u64::MAX"
+                    total.saturated > 0,
+                    "{shape}: no stall saturated at u64::MAX"
+                );
+                assert!(
+                    processors == 1 || total.past_the_cap > 0,
+                    "{shape}: no pick past the cap where index order is wrong"
                 );
             }
+        }
+    }
+
+    /// DESIGN.md §3's rule on the simulator's allocation sizes: the tree
+    /// holds one-word ranks in the bytes the `u128` ranks took.
+    #[test]
+    fn pick_tree_keeps_the_allocation_size_of_u128_ranks() {
+        for processors in [1, 3, 64, 256] {
+            let tree = PickTree::new(processors);
+            assert_eq!(
+                tree.ranks.capacity() * std::mem::size_of::<u64>(),
+                2 * processors.next_power_of_two() * std::mem::size_of::<u128>()
+            );
         }
     }
 
