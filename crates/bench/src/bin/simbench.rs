@@ -21,13 +21,22 @@
 //!    simulator's ceiling), plus one multiprogrammed run in the Figure 5
 //!    shape — new-two-lock at 64 processors × 3 processes — where the
 //!    scheduler rotates run queues and preempts.
+//! 5. **Construction**: build and drop time of each of the paper's six
+//!    queues on `SimPlatform` at capacity 64 and 4,096 (the figures'
+//!    arena), median and quartiles over 101 builds after a warm-up round,
+//!    taken in turns across the twelve rows, and minor page faults per
+//!    build. Each build gets a fresh `Simulation`, made and dropped
+//!    outside the timing, as msqbench's set-up makes one per run. This
+//!    cell runs first, on the bin's fresh heap, since the fault count
+//!    follows the allocator's state as much as the code.
 //!
 //! The numbers go in the report's `"change"` block. The bin uses only the
 //! simulator's and harness's public API, so the same file builds at an
 //! earlier commit for a before/after comparison: `--parent <file>` embeds
 //! the numbers of a `BENCH_sim.json` written there (its `"change"` block,
 //! or the whole file if it predates the flag) as the `"parent"` block, and
-//! adds each run's ops-per-wall-second ratio, change over parent.
+//! adds each run's ops-per-wall-second ratio, change over parent, and
+//! each construction's build speedup, parent over change.
 //!
 //! Run from the workspace root: `cargo run --release -p msq-bench --bin
 //! simbench [-- --parent <file>]`. Writes `BENCH_sim.json` in the current
@@ -38,10 +47,11 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use msq_bench::{minor_faults, quartiles};
 use msq_harness::{
     figure_machine, run_scenario_simulated, Algorithm, FaultedPoint, PairedScenario, WorkloadConfig,
 };
-use msq_sim::{default_lanes, schedule_sweep_with, FaultPlan, SimConfig};
+use msq_sim::{default_lanes, schedule_sweep_with, FaultPlan, SimConfig, Simulation};
 
 /// Seeds in the timed dispatch sweep.
 const SWEEP_SEEDS: u64 = 16;
@@ -72,6 +82,16 @@ const SCALING_PROCESSORS: [usize; 4] = [4, 64, 128, 256];
 /// msqbench's `sim-fig5-64p` workload.
 const FIG5_PAIRS: u64 = 10_000;
 const SMOKE_FIG5_PAIRS: u64 = 1_000;
+
+/// Timed builds per queue and capacity in the construction cell.
+const CONSTRUCTION_BUILDS: usize = 101;
+const SMOKE_CONSTRUCTION_BUILDS: usize = 11;
+const CONSTRUCTION_CAPACITIES: [u32; 2] = [64, 4_096];
+
+/// The claimed build speedup, parent over change, of a new-nonblocking
+/// queue of 4,096 nodes: one reference count per simulated array instead
+/// of one per cell.
+const CONSTRUCTION_SPEEDUP_CLAIM: f64 = 1.5;
 
 /// How much slower than one lane the default lane count may run before
 /// the dispatch counts as a regression: the host-time bound the
@@ -147,6 +167,120 @@ impl FigureRun {
             self.ops_per_sec(),
             self.virtual_ns_per_pair,
             self.completed
+        )
+    }
+}
+
+/// One queue's build and drop on `SimPlatform`.
+struct Construction {
+    algorithm: Algorithm,
+    capacity: u32,
+    builds: usize,
+    /// First quartile, median and third quartile, in microseconds.
+    build_us: [f64; 3],
+    drop_us: [f64; 3],
+    faults_per_build: f64,
+}
+
+/// Builds `algorithm` at `capacity` on a fresh simulation and drops it:
+/// the build's and the drop's microseconds and the build's minor faults.
+fn build_and_drop(algorithm: Algorithm, capacity: u32) -> (f64, f64, u64) {
+    let sim = Simulation::new(SimConfig {
+        processors: 8,
+        ..SimConfig::default()
+    });
+    let platform = sim.platform();
+    let before = minor_faults();
+    let start = Instant::now();
+    let queue = algorithm.build(&platform, capacity);
+    let built = start.elapsed();
+    let faults = minor_faults() - before;
+    let start = Instant::now();
+    drop(queue);
+    let dropped = start.elapsed();
+    (
+        built.as_secs_f64() * 1e6,
+        dropped.as_secs_f64() * 1e6,
+        faults,
+    )
+}
+
+impl Construction {
+    /// Times `builds` builds and drops of each of the paper's queues at
+    /// each capacity after a warm-up round, taken in turns across them so
+    /// that a drift in the host's speed reaches every row alike.
+    fn measure_all(builds: usize) -> Vec<Self> {
+        let shapes: Vec<(Algorithm, u32)> = CONSTRUCTION_CAPACITIES
+            .into_iter()
+            .flat_map(|capacity| Algorithm::ALL.map(|algorithm| (algorithm, capacity)))
+            .collect();
+        let mut samples = vec![(Vec::new(), Vec::new(), 0); shapes.len()];
+        for round in 0..=builds {
+            for (&(algorithm, capacity), (build_us, drop_us, faults)) in
+                shapes.iter().zip(&mut samples)
+            {
+                let (built, dropped, faulted) = build_and_drop(algorithm, capacity);
+                if round > 0 {
+                    build_us.push(built);
+                    drop_us.push(dropped);
+                    *faults += faulted;
+                }
+            }
+        }
+        let runs = shapes.into_iter().zip(samples).map(
+            |((algorithm, capacity), (build_us, drop_us, faults))| Construction {
+                algorithm,
+                capacity,
+                builds,
+                build_us: quartiles(build_us),
+                drop_us: quartiles(drop_us),
+                faults_per_build: faults as f64 / builds as f64,
+            },
+        );
+        runs.inspect(|run| {
+            eprintln!(
+                "{} x {} on SimPlatform: build {:.1} us (q1 {:.1}, q3 {:.1}), drop {:.1} us, \
+                 {:.2} faults/build",
+                run.algorithm.label(),
+                run.capacity,
+                run.build_us[1],
+                run.build_us[0],
+                run.build_us[2],
+                run.drop_us[1],
+                run.faults_per_build
+            );
+        })
+        .collect()
+    }
+
+    /// The parent's median build over this one's, from an earlier
+    /// report's row for the same queue and capacity.
+    fn speedup_over(&self, block: &str) -> Option<f64> {
+        let row = format!(
+            "{{\"algorithm\": \"{}\", \"capacity\": {},",
+            self.algorithm.label(),
+            self.capacity
+        );
+        let line = block.lines().find(|l| l.contains(&row))?;
+        Some(msq_bench::number_field(line, "build_us_median")? / self.build_us[1])
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"algorithm\": \"{}\", \"capacity\": {}, \"builds\": {}, \
+             \"build_us_median\": {:.2}, \"build_us_q1\": {:.2}, \"build_us_q3\": {:.2}, \
+             \"drop_us_median\": {:.2}, \"drop_us_q1\": {:.2}, \"drop_us_q3\": {:.2}, \
+             \"minor_faults_per_build\": {:.2}}}",
+            self.algorithm.label(),
+            self.capacity,
+            self.builds,
+            self.build_us[1],
+            self.build_us[0],
+            self.build_us[2],
+            self.drop_us[1],
+            self.drop_us[0],
+            self.drop_us[2],
+            self.faults_per_build
         )
     }
 }
@@ -239,6 +373,14 @@ fn main() {
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("host cores: {host_cores}");
 
+    // --- Cell 5, first: construction on the bin's fresh heap. ---
+    let builds = if smoke {
+        SMOKE_CONSTRUCTION_BUILDS
+    } else {
+        CONSTRUCTION_BUILDS
+    };
+    let constructions = Construction::measure_all(builds);
+
     // --- Cell 1: sweep dispatch, 1 lane vs the default lane count. ---
     let workload = WorkloadConfig {
         pairs_total: sweep_pairs,
@@ -327,15 +469,21 @@ fn main() {
     let scaling_json: Vec<String> = scaling.iter().map(FigureRun::json).collect();
     let _ = writeln!(
         run,
-        "    \"throughput_by_processors\": [\n      {}\n    ]",
+        "    \"throughput_by_processors\": [\n      {}\n    ],",
         scaling_json.join(",\n      ")
+    );
+    let construction_json: Vec<String> = constructions.iter().map(Construction::json).collect();
+    let _ = writeln!(
+        run,
+        "    \"construction\": [\n      {}\n    ]",
+        construction_json.join(",\n      ")
     );
     run.push_str("  }");
 
     let mut json = String::from("{\n");
     let _ = writeln!(
         json,
-        "  \"description\": \"simulator wall-clock: 16-seed sweep at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors, Figure 3 (new-nonblocking, 8p x 1) at the paper's 10^6 pairs, and simulated ops per wall-second at 4/64/128/256 processors x 1 (new-nonblocking) and 64 processors x 3 (new-two-lock, the Figure 5 shape); parent is the same bin at the commit before the change\","
+        "  \"description\": \"simulator wall-clock: 16-seed sweep at 1 lane vs the default lane count, 32-seed sweep completion at 64 processors, Figure 3 (new-nonblocking, 8p x 1) at the paper's 10^6 pairs, and simulated ops per wall-second at 4/64/128/256 processors x 1 (new-nonblocking) and 64 processors x 3 (new-two-lock, the Figure 5 shape), and build/drop time (us) and minor faults per build of the paper's six queues on SimPlatform at capacity 64 and 4096; parent is the same bin at the commit before the change\","
     );
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
@@ -345,6 +493,9 @@ fn main() {
         parent.as_deref().unwrap_or("null")
     );
     let _ = writeln!(json, "  \"change\": {run},");
+    // The claim is present only when the parent measured the same
+    // construction.
+    let mut claim = String::new();
     if let Some(block) = parent.as_deref() {
         let ratios: Vec<String> = std::iter::once(("full_scale_fig3".to_string(), &full_scale))
             .chain(
@@ -363,11 +514,31 @@ fn main() {
             "  \"ops_per_wall_sec_change_over_parent\": {{{}}},",
             ratios.join(", ")
         );
+        let mut speedups = Vec::new();
+        for c in &constructions {
+            let Some(speedup) = c.speedup_over(block) else {
+                continue;
+            };
+            let name = format!("{}@{}", c.algorithm.label(), c.capacity);
+            speedups.push(format!("\"{name}\": {speedup:.3}"));
+            if c.algorithm == Algorithm::NewNonBlocking && c.capacity == 4_096 {
+                eprintln!("{name} builds {speedup:.2}x faster than the parent's");
+                claim = format!(
+                    ", \"new_nonblocking_4096_builds_at_least_1_5x_faster\": {}",
+                    speedup >= CONSTRUCTION_SPEEDUP_CLAIM
+                );
+            }
+        }
+        let _ = writeln!(
+            json,
+            "  \"build_speedup_over_parent\": {{{}}},",
+            speedups.join(", ")
+        );
     }
     let _ = writeln!(
         json,
         "  \"acceptance\": {{\"sweep_lanes_no_slower\": {sweep_lanes_no_slower}, \"high_scale_completed\": {high_scale_completed}, \
-         \"full_scale_fig3_completed\": {full_scale_fig3_completed}}}"
+         \"full_scale_fig3_completed\": {full_scale_fig3_completed}{claim}}}"
     );
     json.push_str("}\n");
 

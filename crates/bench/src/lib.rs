@@ -1,6 +1,8 @@
-//! What the bench binaries share: where a run's JSON report goes, and how
-//! a report reads the numbers of an earlier one.
+//! What the bench binaries share: where a run's JSON report goes, how a
+//! report reads the numbers of an earlier one, and the host counters and
+//! order statistics their cells record.
 
+use std::os::raw::{c_int, c_long};
 use std::path::{Path, PathBuf};
 
 /// Where `--smoke` runs write their reports, so that a smoke run never
@@ -58,4 +60,46 @@ pub fn number_field(line: &str, key: &str) -> Option<f64> {
     let pattern = format!("\"{key}\": ");
     let tail = &line[line.find(&pattern)? + pattern.len()..];
     tail[..tail.find([',', '}'])?].trim().parse().ok()
+}
+
+/// `struct rusage` on 64-bit Linux: two timevals and fourteen longs, of
+/// which only the minor-fault count is read.
+#[repr(C)]
+#[derive(Default)]
+struct RUsage {
+    times: [c_long; 4],
+    maxrss_to_isrss: [c_long; 4],
+    ru_minflt: c_long,
+    rest: [c_long; 9],
+}
+
+extern "C" {
+    fn getrusage(who: c_int, usage: *mut RUsage) -> c_int;
+}
+
+/// Minor page faults of this process so far, from `getrusage(2)`.
+///
+/// # Panics
+///
+/// Panics if `getrusage` fails, which it cannot for `RUSAGE_SELF`.
+pub fn minor_faults() -> u64 {
+    const RUSAGE_SELF: c_int = 0;
+    let mut usage = RUsage::default();
+    // SAFETY: `usage` is a live, writable `struct rusage` with the 64-bit
+    // Linux layout declared above, and RUSAGE_SELF is a valid `who`; the
+    // call writes only inside it.
+    let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
+    assert_eq!(rc, 0, "getrusage(RUSAGE_SELF) cannot fail");
+    usage.ru_minflt as u64
+}
+
+/// The first quartile, median and third quartile of `values`, each the
+/// nearest-rank value.
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+pub fn quartiles(mut values: Vec<f64>) -> [f64; 3] {
+    values.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| values[(q * (values.len() - 1) as f64).round() as usize])
 }

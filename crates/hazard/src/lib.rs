@@ -12,9 +12,17 @@
 //! them.
 //!
 //! The implementation is deliberately compact but complete: per-thread slot
-//! acquisition/release, bounded hazards per thread, amortized O(R) scans,
-//! and an orphan list so nodes retired by exiting threads are adopted
-//! rather than leaked.
+//! acquisition/release, bounded hazards per thread, amortized O(R log H)
+//! scans, and an orphan list so nodes retired by exiting threads are
+//! adopted rather than leaked.
+//!
+//! Queue operations take their hazards as [`PooledHazard`]s, which come
+//! from a small per-thread cache of idle slots: a fixed array of
+//! `(domain, slot)` pairs. Acquiring one pops the most recent pair of its
+//! domain and dropping one clears the slot and pushes it back, so the hot
+//! path neither scans the domain for a free slot nor allocates. A full
+//! cache hands the slot back to the domain, and a thread's cached slots
+//! are released when it exits.
 //!
 //! # Example
 //!
@@ -40,9 +48,9 @@
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
+use std::mem::ManuallyDrop;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Maximum number of threads that may simultaneously hold hazard pointers
@@ -71,6 +79,10 @@ unsafe impl Send for Retired {}
 pub struct Domain {
     slots: [Slot; MAX_SLOTS],
     orphans: Mutex<Vec<Retired>>,
+    /// Whether `orphans` may be non-empty; set and cleared under its lock,
+    /// so a scan takes the lock only when an exiting thread left
+    /// retirements.
+    has_orphans: AtomicBool,
     /// Upper bound on slots ever used, to shorten scans.
     high_water: AtomicUsize,
 }
@@ -93,6 +105,7 @@ impl Domain {
         Domain {
             slots: [EMPTY_SLOT; MAX_SLOTS],
             orphans: Mutex::new(Vec::new()),
+            has_orphans: AtomicBool::new(false),
             high_water: AtomicUsize::new(0),
         }
     }
@@ -178,18 +191,20 @@ impl Domain {
 
     fn scan(&'static self, retired: &mut Vec<Retired>) {
         // Adopt orphans from exited threads first so they cannot linger.
-        {
+        if self.has_orphans.load(Ordering::Acquire) {
             let mut orphans = self.orphans.lock().expect("orphan list");
             retired.append(&mut orphans);
+            self.has_orphans.store(false, Ordering::Release);
         }
         let limit = self.high_water.load(Ordering::Acquire);
-        let protected: HashSet<*mut u8> = self.slots[..limit]
+        let mut protected: Vec<*mut u8> = self.slots[..limit]
             .iter()
             .map(|s| s.hazard.load(Ordering::Acquire))
             .filter(|p| !p.is_null())
             .collect();
+        protected.sort_unstable();
         retired.retain(|r| {
-            if protected.contains(&r.ptr) {
+            if protected.binary_search(&r.ptr).is_ok() {
                 true
             } else {
                 // Safety: unlinked (retire contract) and unprotected now;
@@ -275,8 +290,10 @@ impl Drop for LocalState {
         // domain's orphan list; the next scan (from any thread) adopts them.
         for participant in self.participants.drain(..) {
             if !participant.retired.is_empty() {
-                let mut orphans = participant.domain.orphans.lock().expect("orphan list");
+                let domain = participant.domain;
+                let mut orphans = domain.orphans.lock().expect("orphan list");
                 orphans.extend(participant.retired);
+                domain.has_orphans.store(true, Ordering::Release);
             }
         }
     }
@@ -360,32 +377,89 @@ impl std::fmt::Debug for HazardPointer {
 
 // --- pooled hazard pointers -------------------------------------------------
 
-thread_local! {
-    static HP_POOL: RefCell<Vec<HazardPointer>> = const { RefCell::new(Vec::new()) };
+/// Idle slots a thread keeps for [`PooledHazard`]: more than any queue
+/// operation holds at once (the Michael–Scott dequeue holds two).
+const CACHED_SLOTS: usize = 4;
+
+/// A thread's idle `(domain, slot)` pairs, most recently returned last.
+/// Each slot stays owned by the thread until it leaves the cache.
+struct SlotCache {
+    len: Cell<usize>,
+    idle: [Cell<Option<(&'static Domain, usize)>>; CACHED_SLOTS],
 }
 
-/// A [`HazardPointer`] borrowed from a per-thread pool; on drop the slot is
-/// cleared and returned to the pool instead of being released, so hot paths
-/// (queue operations) avoid the slot-acquisition scan.
+impl SlotCache {
+    /// Removes and returns an idle slot of `domain`, the most recent first.
+    fn take(&self, domain: &'static Domain) -> Option<usize> {
+        let len = self.len.get();
+        let (i, slot) = (0..len).rev().find_map(|i| match self.idle[i].get() {
+            Some((d, slot)) if std::ptr::eq(d, domain) => Some((i, slot)),
+            _ => None,
+        })?;
+        self.idle[i].set(self.idle[len - 1].get());
+        self.len.set(len - 1);
+        Some(slot)
+    }
+
+    /// Keeps `slot` of `domain` for reuse; `false` if the cache is full.
+    fn put(&self, domain: &'static Domain, slot: usize) -> bool {
+        let len = self.len.get();
+        if len == CACHED_SLOTS {
+            return false;
+        }
+        self.idle[len].set(Some((domain, slot)));
+        self.len.set(len + 1);
+        true
+    }
+}
+
+impl Drop for SlotCache {
+    fn drop(&mut self) {
+        // The thread is exiting: its idle slots go back to their domains.
+        for idle in &self.idle[..self.len.get()] {
+            if let Some((domain, slot)) = idle.get() {
+                domain.release_slot(slot);
+            }
+        }
+    }
+}
+
+thread_local! {
+    static SLOT_CACHE: SlotCache = const {
+        SlotCache {
+            len: Cell::new(0),
+            idle: [const { Cell::new(None) }; CACHED_SLOTS],
+        }
+    };
+}
+
+/// A [`HazardPointer`] whose slot comes from the current thread's cache of
+/// idle slots; on drop the slot is cleared and returned to the cache
+/// instead of being released, so hot paths (queue operations) avoid the
+/// slot-acquisition scan.
 pub struct PooledHazard {
-    inner: Option<HazardPointer>,
+    inner: ManuallyDrop<HazardPointer>,
 }
 
 impl PooledHazard {
-    /// Takes a hazard pointer in `domain` from the current thread's pool,
-    /// acquiring a fresh slot only on first use.
+    /// Takes a hazard slot in `domain` from the current thread's cache,
+    /// acquiring a fresh slot only when the cache holds none.
     ///
     /// # Panics
     ///
     /// Panics if a fresh slot is needed and the domain is exhausted.
     pub fn acquire(domain: &'static Domain) -> Self {
-        let cached = HP_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            let idx = pool.iter().position(|h| std::ptr::eq(h.domain, domain));
-            idx.map(|i| pool.swap_remove(i))
-        });
+        let slot = SLOT_CACHE
+            .try_with(|cache| cache.take(domain))
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| domain.acquire_slot());
         PooledHazard {
-            inner: Some(cached.unwrap_or_else(|| HazardPointer::new(domain))),
+            inner: ManuallyDrop::new(HazardPointer {
+                domain,
+                slot,
+                _not_send: std::marker::PhantomData,
+            }),
         }
     }
 }
@@ -394,35 +468,35 @@ impl std::ops::Deref for PooledHazard {
     type Target = HazardPointer;
 
     fn deref(&self) -> &HazardPointer {
-        self.inner.as_ref().expect("present until drop")
+        &self.inner
     }
 }
 
 impl std::ops::DerefMut for PooledHazard {
     fn deref_mut(&mut self) -> &mut HazardPointer {
-        self.inner.as_mut().expect("present until drop")
+        &mut self.inner
     }
 }
 
 impl Drop for PooledHazard {
     fn drop(&mut self) {
-        if let Some(mut hp) = self.inner.take() {
-            hp.clear();
-            let returned = HP_POOL.try_with(|pool| {
-                pool.borrow_mut().push(hp);
-            });
-            // If the thread-local pool is already gone (thread teardown),
-            // `hp` was moved into the closure that never ran... it wasn't:
-            // try_with failing means the closure did not run, so `hp` is
-            // dropped here, releasing the slot — exactly what we want.
-            let _ = returned;
+        let (domain, slot) = (self.inner.domain, self.inner.slot);
+        self.inner.clear();
+        // A full cache, or one already torn down at thread exit, hands the
+        // slot back to the domain. The inner `HazardPointer` is never
+        // dropped, so the slot is released at most once.
+        let cached = SLOT_CACHE
+            .try_with(|cache| cache.put(domain, slot))
+            .unwrap_or(false);
+        if !cached {
+            domain.release_slot(slot);
         }
     }
 }
 
 impl std::fmt::Debug for PooledHazard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PooledHazard({:?})", self.inner)
+        write!(f, "PooledHazard({:?})", *self.inner)
     }
 }
 
@@ -555,6 +629,71 @@ mod tests {
         let a = PooledHazard::acquire(&POOL_DOMAIN);
         let b = PooledHazard::acquire(&POOL_DOMAIN);
         assert_ne!(a.slot, b.slot);
+    }
+
+    #[test]
+    fn a_threads_cached_slots_are_released_when_it_exits() {
+        static EXIT_DOMAIN: Domain = Domain::new();
+        let cached = std::thread::spawn(|| {
+            let hp = PooledHazard::acquire(&EXIT_DOMAIN);
+            let slot = hp.slot;
+            drop(hp);
+            assert_eq!(
+                PooledHazard::acquire(&EXIT_DOMAIN).slot,
+                slot,
+                "the dropped hazard's slot waits in the thread's cache"
+            );
+            slot
+        })
+        .join()
+        .unwrap();
+        let again = HazardPointer::new(&EXIT_DOMAIN);
+        assert_eq!(again.slot, cached, "another thread reacquires the index");
+    }
+
+    #[test]
+    fn cached_slots_stay_with_their_domain() {
+        static FIRST: Domain = Domain::new();
+        static SECOND: Domain = Domain::new();
+        drop(PooledHazard::acquire(&FIRST));
+        let hp = PooledHazard::acquire(&SECOND);
+        assert_eq!(
+            SECOND.slots[hp.slot].owner.load(Ordering::SeqCst),
+            1,
+            "a slot cached for FIRST is not lent out for SECOND"
+        );
+        assert_eq!(
+            FIRST.slots[0].owner.load(Ordering::SeqCst),
+            1,
+            "still cached"
+        );
+    }
+
+    #[test]
+    fn nested_pooled_hazards_past_the_cache_get_distinct_slots() {
+        static NEST_DOMAIN: Domain = Domain::new();
+        let held = 2 * CACHED_SLOTS + 1;
+        let distinct = |hazards: &[PooledHazard]| {
+            let mut slots: Vec<usize> = hazards.iter().map(|h| h.slot).collect();
+            slots.sort_unstable();
+            slots.dedup();
+            slots.len()
+        };
+        let first: Vec<PooledHazard> = (0..held)
+            .map(|_| PooledHazard::acquire(&NEST_DOMAIN))
+            .collect();
+        assert_eq!(distinct(&first), held);
+        // The cache keeps CACHED_SLOTS of them and the domain gets the rest.
+        drop(first);
+        let second: Vec<PooledHazard> = (0..held)
+            .map(|_| PooledHazard::acquire(&NEST_DOMAIN))
+            .collect();
+        assert_eq!(distinct(&second), held);
+        assert_eq!(
+            NEST_DOMAIN.high_water.load(Ordering::SeqCst),
+            held,
+            "no slot was lost between the cache and the domain"
+        );
     }
 
     #[test]

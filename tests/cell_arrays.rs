@@ -116,9 +116,11 @@ proptest! {
 
 /// `CellArray` replaced a `Vec` of cells in every simulated struct; each
 /// keeps the size it had, so `Simulation::new` and `Algorithm::build`
-/// make allocations of the same sizes in the same order as before.
+/// make allocations of the same sizes in the same order as before. The
+/// cell itself stays 16 bytes with its ownership flag beside the id.
 #[test]
 fn simulated_structs_keep_their_sizes() {
+    assert_eq!(size_of::<SimCell>(), 16);
     assert_eq!(
         size_of::<CellArray<SimPlatform>>(),
         size_of::<Vec<SimCell>>()
