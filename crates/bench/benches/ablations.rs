@@ -122,13 +122,6 @@ fn reclamation_strategies(c: &mut Criterion) {
             black_box(hazard_queue.dequeue())
         })
     });
-    let epoch_queue: msq_core::EpochMsQueue<u64> = msq_core::EpochMsQueue::new();
-    group.bench_function("epoch-heap", |b| {
-        b.iter(|| {
-            epoch_queue.enqueue(black_box(5));
-            black_box(epoch_queue.dequeue())
-        })
-    });
     group.finish();
 }
 

@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use msq_core::{MsQueue, SegQueue, TwoLockQueue};
+use msq_core::{HerlihyQueue, MsQueue, SegQueue, TwoLockQueue};
 use msq_harness::Algorithm;
 use msq_platform::NativePlatform;
 use std::hint::black_box;
@@ -60,7 +60,7 @@ fn heap_queues(c: &mut Criterion) {
     // Herlihy's universal construction: the "general methodology" the
     // paper contrasts specialized algorithms against. Keep some items in
     // the queue so the per-op whole-object copy is visible.
-    let herlihy = msq_baselines::HerlihyQueue::new();
+    let herlihy = HerlihyQueue::new();
     for i in 0..64_u64 {
         herlihy.enqueue(i);
     }

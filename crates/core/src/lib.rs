@@ -16,12 +16,16 @@
 //!
 //! * [`MsQueue`] — `MsQueue<T>` with hazard-pointer reclamation
 //!   (`msq-hazard`) and release/acquire orderings;
-//! * [`EpochMsQueue`] — the same algorithm under crossbeam epoch-based
-//!   reclamation (the third answer to the reclamation question, for the
-//!   ablation benches);
-//! * [`TwoLockQueue`] — `TwoLockQueue<T>` over `parking_lot` mutexes; and
+//! * [`TwoLockQueue`] — `TwoLockQueue<T>` over `parking_lot` mutexes;
 //! * [`LockFreeStack`] — Treiber's stack (the paper's free-list
-//!   algorithm) as a generic structure.
+//!   algorithm) as a generic structure; and
+//! * [`HerlihyQueue`] — Herlihy's copy-the-object universal construction
+//!   over a `VecDeque`, the "general methodology" the paper says
+//!   specialized algorithms beat (native-only).
+//!
+//! Every lock-free heap structure here reclaims memory through one
+//! scheme, `msq-hazard`'s hazard pointers; the two-lock queue frees its
+//! nodes under its locks.
 //!
 //! Beyond the paper, the crate adds a segment-batched variant of the
 //! non-blocking queue in both flavours:
@@ -69,7 +73,7 @@
 
 #![warn(missing_docs)]
 
-mod epoch_queue;
+mod herlihy;
 mod ms_queue;
 mod seg_queue;
 mod sharded;
@@ -79,7 +83,7 @@ mod word_ms;
 mod word_seg;
 mod word_two_lock;
 
-pub use epoch_queue::EpochMsQueue;
+pub use herlihy::HerlihyQueue;
 pub use ms_queue::MsQueue;
 pub use seg_queue::{SegConfig, SegQueue, SegStats};
 pub use sharded::{ShardedQueue, WordShardedQueue, DEFAULT_SHARDS};

@@ -41,7 +41,7 @@
 //! Seed sweeps ([`schedule_sweep`]) parallelize across *runs* instead:
 //! independent seeds dispatch onto `MSQ_SWEEP_LANES` host threads
 //! (default: one per available core), with failures always reported at
-//! the minimal failing seed index, exactly as the serial sweep would.
+//! the minimal failing seed index, whatever the lane count.
 //!
 //! # Example
 //!

@@ -45,16 +45,6 @@ impl SimPlatform {
     pub fn death_board(&self) -> SimCell {
         SimCell::owning(self.shared.death_board(), Arc::clone(&self.shared))
     }
-
-    /// Records that the calling simulated process has fully absorbed the
-    /// remaining work share of killed process `victim`, stamping a
-    /// [`crate::RecoveryReport`] with the victim's death time and the
-    /// caller's current virtual time. Free, like a fault point: the
-    /// catch-up work itself was already charged op by op. No-op outside
-    /// a simulated process.
-    pub fn mark_recovered(&self, victim: usize) {
-        self.shared.mark_recovered(victim);
-    }
 }
 
 impl std::fmt::Debug for SimPlatform {
@@ -149,9 +139,11 @@ impl Platform for SimPlatform {
     }
 
     fn mark_recovered(&self, victim: usize) {
-        // Same stamp as the inherent method: generic code reaches it
-        // through the `Platform` trait.
-        SimPlatform::mark_recovered(self, victim);
+        // Stamps a `RecoveryReport` with the victim's death time and the
+        // caller's current virtual time. Free, like a fault point: the
+        // catch-up work itself was already charged op by op. No-op outside
+        // a simulated process.
+        self.shared.mark_recovered(victim);
     }
 
     fn mark_repaired(&self, victim: usize, point: &'static str) {

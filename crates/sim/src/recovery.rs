@@ -7,9 +7,9 @@
 //! death notice on the [`crate::SimPlatform::death_board`], the
 //! designated survivor observes it with ordinary charged loads, replays
 //! the victim's unfinished share, and stamps the handoff with
-//! [`crate::SimPlatform::mark_recovered`] — all of it a pure function of
-//! the seed, so every recovery (and its time-to-recover) replays
-//! byte-identically.
+//! [`Platform::mark_recovered`](msq_platform::Platform::mark_recovered) —
+//! all of it a pure function of the seed, so every recovery (and its
+//! time-to-recover) replays byte-identically.
 
 /// Which survivor absorbs a killed process's remaining work share.
 ///

@@ -58,7 +58,7 @@ pub struct ProcessReport {
 
 /// One completed recovery handoff: a survivor absorbed the remaining
 /// work share of a process the fault plan killed (see
-/// [`crate::SimPlatform::mark_recovered`]).
+/// [`Platform::mark_recovered`](msq_platform::Platform::mark_recovered)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The killed process whose share was absorbed.
@@ -185,7 +185,7 @@ pub struct SimReport {
     pub preempts_injected: u64,
     /// Completed recovery handoffs, in completion order (empty unless
     /// the run's processes called
-    /// [`crate::SimPlatform::mark_recovered`]).
+    /// [`Platform::mark_recovered`](msq_platform::Platform::mark_recovered)).
     pub recoveries: Vec<RecoveryReport>,
     /// Completed lock revocation + invariant repairs, in completion order
     /// (empty unless the run's processes called

@@ -20,6 +20,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread;
 
 use crate::config::SimConfig;
 use crate::core::splitmix64;
@@ -59,13 +60,11 @@ where
     schedule_sweep_with(base, seeds, default_lanes(seeds), body);
 }
 
-/// [`schedule_sweep`] with an explicit lane count: `lanes` host threads
-/// claim sweep indices off a shared cursor. `lanes = 1` reproduces the
-/// historical serial sweep exactly, including its stop-at-first-failure
-/// behaviour; with more lanes, indices already claimed when a failure
-/// occurs still complete (their outcomes are needed to determine the
-/// *minimal* failing index), but no index beyond a known failure is
-/// newly claimed.
+/// [`schedule_sweep`] with an explicit lane count: `lanes` host threads,
+/// each named after the calling test, claim sweep indices off a shared
+/// cursor. Indices already claimed when a failure occurs still complete
+/// (their outcomes are needed to determine the *minimal* failing index),
+/// but no index beyond a known failure is newly claimed.
 ///
 /// Every lane observes the same seed ↦ index mapping, so which seeds run
 /// (and the failure report) do not depend on the lane count — only
@@ -86,53 +85,43 @@ where
         return;
     }
     let lanes = lanes.clamp(1, seeds.min(256) as usize);
-    let test = std::thread::current()
+    let test = thread::current()
         .name()
         .map_or_else(|| "<test name>".to_string(), str::to_owned);
     let started = std::time::Instant::now();
-    if lanes == 1 {
-        for index in 0..seeds {
-            let cfg = SimConfig {
-                seed: sweep_seed(index),
-                ..base
-            };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(cfg))) {
-                report_failure(&test, index, seeds, cfg.seed);
-                resume_unwind(payload);
-            }
-        }
-        report_timing(&test, seeds, lanes, started);
-        return;
-    }
     let cursor = AtomicU64::new(0);
     // Indices at or beyond this bound need not start: a failure at a
     // lower index already decides the sweep.
     let bound = AtomicU64::new(seeds);
     let failed: Mutex<Option<(u64, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
+    thread::scope(|scope| {
         for _ in 0..lanes {
             let body = &body;
             let cursor = &cursor;
             let bound = &bound;
             let failed = &failed;
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= seeds || index >= bound.load(Ordering::Relaxed) {
-                    return;
-                }
-                let cfg = SimConfig {
-                    seed: sweep_seed(index),
-                    ..base
-                };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(cfg))) {
-                    bound.fetch_min(index, Ordering::Relaxed);
-                    let mut failed = failed.lock().expect("sweep failure slot");
-                    match &*failed {
-                        Some((first, _)) if *first <= index => {}
-                        _ => *failed = Some((index, payload)),
+            // Named after the test, so a panic line still names it.
+            thread::Builder::new()
+                .name(test.clone())
+                .spawn_scoped(scope, move || loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= seeds || index >= bound.load(Ordering::Relaxed) {
+                        return;
                     }
-                }
-            });
+                    let cfg = SimConfig {
+                        seed: sweep_seed(index),
+                        ..base
+                    };
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(cfg))) {
+                        bound.fetch_min(index, Ordering::Relaxed);
+                        let mut failed = failed.lock().expect("sweep failure slot");
+                        match &*failed {
+                            Some((first, _)) if *first <= index => {}
+                            _ => *failed = Some((index, payload)),
+                        }
+                    }
+                })
+                .expect("spawn a sweep lane");
         }
     });
     if let Some((index, payload)) = failed.into_inner().expect("sweep failure slot") {

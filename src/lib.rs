@@ -80,11 +80,11 @@ pub use msq_sync as sync;
 
 pub use msq_arena::{MemBudget, Reservation, SegArena};
 pub use msq_baselines::{
-    HerlihyQueue, LamportQueue, McQueue, PljQueue, RepairableMcQueue, RepairableSingleLockQueue,
-    SingleLockQueue, TreiberStack, ValoisQueue,
+    LamportQueue, McQueue, PljQueue, RepairableMcQueue, RepairableSingleLockQueue, SingleLockQueue,
+    TreiberStack, ValoisQueue,
 };
 pub use msq_core::{
-    EpochMsQueue, LockFreeStack, MsQueue, RepairableTwoLockQueue, SegConfig, SegQueue, SegStats,
+    HerlihyQueue, LockFreeStack, MsQueue, RepairableTwoLockQueue, SegConfig, SegQueue, SegStats,
     ShardedQueue, TwoLockQueue, WordMsQueue, WordSegQueue, WordShardedQueue, WordTwoLockQueue,
     DEFAULT_SHARDS,
 };

@@ -5,13 +5,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ms_queues::{EpochMsQueue, LockFreeStack, MsQueue, SegConfig, SegQueue, TwoLockQueue};
+use ms_queues::{HerlihyQueue, LockFreeStack, MsQueue, SegConfig, SegQueue, TwoLockQueue};
 
-/// Held by every test here that builds a heap `MsQueue`, `SegQueue` or
-/// `LockFreeStack`, which all retire into and scan the process-global
-/// hazard domain. Tests run on parallel threads, and a scan by one adopts
-/// the others' orphaned retirements, so without the lock an exact
-/// residency assertion after `GLOBAL_DOMAIN.eager_scan()` could find
+/// Held by every test here that builds a heap `MsQueue`, `SegQueue`,
+/// `LockFreeStack` or `HerlihyQueue`, which all retire into and scan the
+/// process-global hazard domain. Tests run on parallel threads, and a scan
+/// by one adopts the others' orphaned retirements, so without the lock an
+/// exact residency assertion after `GLOBAL_DOMAIN.eager_scan()` could find
 /// another test's scan holding this test's segments, or recycling them
 /// into a pool after this test shrank it.
 static GLOBAL_DOMAIN_TESTS: Mutex<()> = Mutex::new(());
@@ -110,12 +110,70 @@ fn ms_queue_drops_every_value_exactly_once() {
     );
 }
 
+/// A value that counts its live copies: making one, by `new` or `clone`,
+/// adds one, and dropping one takes one away.
+struct LiveCopy {
+    live: Arc<AtomicU64>,
+}
+
+impl LiveCopy {
+    fn new(live: &Arc<AtomicU64>) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        LiveCopy {
+            live: Arc::clone(live),
+        }
+    }
+}
+
+impl Clone for LiveCopy {
+    fn clone(&self) -> Self {
+        LiveCopy::new(&self.live)
+    }
+}
+
+impl Drop for LiveCopy {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Herlihy's construction copies the whole queue per operation, so every
+/// snapshot it replaces holds copies of the queued values. Each replaced
+/// snapshot must go to the hazard domain and be freed there: once the
+/// queue is dropped and the domain scanned, no copy may be left alive.
 #[test]
-fn epoch_queue_drops_every_value_exactly_once() {
-    run_queue_reclamation(
-        Arc::new(EpochMsQueue::new()),
-        |q: &EpochMsQueue<Tracked>, v| q.enqueue(v),
-        |q| q.dequeue(),
+fn herlihy_queue_reclaims_every_replaced_snapshot() {
+    let _serial = serialize_global_domain_tests();
+    use ms_queues::hazard::GLOBAL_DOMAIN;
+
+    let live = Arc::new(AtomicU64::new(0));
+    let queue = Arc::new(HerlihyQueue::new());
+    let workers: Vec<_> = (0..3)
+        .map(|_| {
+            let queue = Arc::clone(&queue);
+            let live = Arc::clone(&live);
+            std::thread::spawn(move || {
+                for _ in 0..500 {
+                    queue.enqueue(LiveCopy::new(&live));
+                    assert!(
+                        queue.dequeue().is_some(),
+                        "each thread dequeues after its own enqueue"
+                    );
+                }
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().unwrap();
+    }
+    drop(queue);
+    // The workers' unscanned retirements were orphaned when they exited;
+    // this scan adopts and frees them with the main thread's own.
+    GLOBAL_DOMAIN.eager_scan();
+    assert_eq!(
+        live.load(Ordering::SeqCst),
+        0,
+        "a replaced snapshot leaked its copies"
     );
 }
 
