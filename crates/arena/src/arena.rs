@@ -26,7 +26,7 @@ use crate::budget::MemBudget;
 /// use msq_platform::NativePlatform;
 ///
 /// let platform = NativePlatform::new();
-/// let arena = NodeArena::new(&platform, 4);
+/// let arena = NodeArena::new(&platform, 4, None);
 /// let node = arena.alloc().expect("fresh arena has free nodes");
 /// arena.set_value(node, 42);
 /// assert_eq!(arena.value(node), 42);
@@ -43,14 +43,28 @@ pub struct NodeArena<P: Platform> {
 }
 
 impl<P: Platform> NodeArena<P> {
-    /// Creates an arena of `capacity` nodes, all initially free.
+    /// Creates an arena of `capacity` nodes, all initially free, metering
+    /// the pool against `budget` if one is given.
+    ///
+    /// The budget is the one the caller passes; an arena never falls back
+    /// on [`MemBudget::global`]. The whole `capacity` is preallocated and
+    /// resident for the arena's lifetime, so that many units are reserved
+    /// up front (one per node) and released when the arena drops. The
+    /// constructor is infallible, so the reservation uses
+    /// [`MemBudget::force_reserve`]: an arena larger than the remaining
+    /// budget is *counted as an overrun*, not denied — the paper's queues
+    /// preallocate their free lists unconditionally, and the budget's job
+    /// here is to make that residency visible in the caller's counters.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is 0 or does not fit in a [`Tagged`] index.
-    pub fn new(platform: &P, capacity: u32) -> Self {
+    pub fn new(platform: &P, capacity: u32, budget: Option<Arc<MemBudget<P>>>) -> Self {
         assert!(capacity > 0, "arena capacity must be positive");
         assert!(capacity < NULL_INDEX, "capacity must fit a tagged index");
+        if let Some(budget) = &budget {
+            budget.force_reserve(u64::from(capacity));
+        }
         let values = platform.alloc_cells(std::iter::repeat_n(0, capacity as usize));
         // Thread the free list: node i links to i + 1, the last to NULL.
         let nexts = platform.alloc_cells((0..capacity).map(|i| {
@@ -63,29 +77,8 @@ impl<P: Platform> NodeArena<P> {
             nexts,
             free_top,
             capacity,
-            budget: None,
+            budget,
         }
-    }
-
-    /// As [`NodeArena::new`], metering the pool against `budget`: the
-    /// whole `capacity` is preallocated and resident for the arena's
-    /// lifetime, so that many units are reserved up front (one per node)
-    /// and released when the arena drops.
-    ///
-    /// The constructor is infallible, so the reservation uses
-    /// [`MemBudget::force_reserve`]: an arena larger than the remaining
-    /// budget is *counted as an overrun*, not denied — the paper's queues
-    /// preallocate their free lists unconditionally, and the budget's job
-    /// here is to make that residency observable under `MSQ_MEM_BUDGET`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0 or does not fit in a [`Tagged`] index.
-    pub fn with_budget(platform: &P, capacity: u32, budget: Arc<MemBudget<P>>) -> Self {
-        budget.force_reserve(u64::from(capacity));
-        let mut arena = Self::new(platform, capacity);
-        arena.budget = Some(budget);
-        arena
     }
 
     /// The budget this arena is metered against, if any.
@@ -203,7 +196,7 @@ mod tests {
     use std::sync::Arc;
 
     fn arena(capacity: u32) -> NodeArena<NativePlatform> {
-        NodeArena::new(&NativePlatform::new(), capacity)
+        NodeArena::new(&NativePlatform::new(), capacity, None)
     }
 
     #[test]
@@ -339,7 +332,7 @@ mod tests {
             processors: 4,
             ..SimConfig::default()
         });
-        let a = Arc::new(NodeArena::new(&sim.platform(), 16));
+        let a = Arc::new(NodeArena::new(&sim.platform(), 16, None));
         let report = sim.run({
             let a = Arc::clone(&a);
             move |_| {

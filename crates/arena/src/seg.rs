@@ -44,7 +44,7 @@ use crate::MemBudget;
 /// use msq_platform::NativePlatform;
 ///
 /// let platform = NativePlatform::new();
-/// let arena = SegArena::new(&platform, 4, 8);
+/// let arena = SegArena::new(&platform, 4, 8, None);
 /// let seg = arena.alloc().expect("fresh arena has free segments");
 /// arena.value_cell(seg, 0).store(42);
 /// assert_eq!(arena.value_cell(seg, 0).load(), 42);
@@ -86,29 +86,17 @@ impl<P: Platform> SegArena<P> {
     /// Creates an arena of `seg_count` segments of `seg_size` slots, all
     /// initially free and at generation 0.
     ///
+    /// With a `budget`, every [`SegArena::alloc`] reserves one unit
+    /// against it (and every [`SegArena::free`] credits it back), so
+    /// segment residency across all arenas sharing the budget is globally
+    /// bounded. An exhausted budget makes `alloc` return `None` exactly as
+    /// an exhausted free list does.
+    ///
     /// # Panics
     ///
     /// Panics if either dimension is 0 or `seg_count` does not fit a
     /// tagged index.
-    pub fn new(platform: &P, seg_count: u32, seg_size: u32) -> Self {
-        SegArena::build(platform, seg_count, seg_size, None)
-    }
-
-    /// Like [`SegArena::new`], but every [`SegArena::alloc`] reserves one
-    /// unit against `budget` (and every [`SegArena::free`] credits it
-    /// back), so segment residency across all arenas sharing the budget
-    /// is globally bounded. An exhausted budget makes `alloc` return
-    /// `None` exactly as an exhausted free list does.
-    pub fn with_budget(
-        platform: &P,
-        seg_count: u32,
-        seg_size: u32,
-        budget: Arc<MemBudget<P>>,
-    ) -> Self {
-        SegArena::build(platform, seg_count, seg_size, Some(budget))
-    }
-
-    fn build(
+    pub fn new(
         platform: &P,
         seg_count: u32,
         seg_size: u32,
@@ -350,7 +338,7 @@ mod tests {
     use std::sync::Arc;
 
     fn arena(seg_count: u32, seg_size: u32) -> SegArena<NativePlatform> {
-        SegArena::new(&NativePlatform::new(), seg_count, seg_size)
+        SegArena::new(&NativePlatform::new(), seg_count, seg_size, None)
     }
 
     #[test]
@@ -472,7 +460,7 @@ mod tests {
     fn budget_caps_alloc_below_free_list_capacity() {
         let platform = NativePlatform::new();
         let budget = Arc::new(crate::MemBudget::new(&platform, 2));
-        let a = SegArena::with_budget(&platform, 8, 4, Arc::clone(&budget));
+        let a = SegArena::new(&platform, 8, 4, Some(Arc::clone(&budget)));
         let s0 = a.alloc().expect("within budget");
         let s1 = a.alloc().expect("within budget");
         assert_eq!(a.alloc(), None, "budget of 2 denies a third segment");
@@ -489,8 +477,8 @@ mod tests {
     fn budget_is_shared_across_arenas() {
         let platform = NativePlatform::new();
         let budget = Arc::new(crate::MemBudget::new(&platform, 3));
-        let a = SegArena::with_budget(&platform, 4, 2, Arc::clone(&budget));
-        let b = SegArena::with_budget(&platform, 4, 2, Arc::clone(&budget));
+        let a = SegArena::new(&platform, 4, 2, Some(Arc::clone(&budget)));
+        let b = SegArena::new(&platform, 4, 2, Some(Arc::clone(&budget)));
         assert!(a.alloc().is_some());
         assert!(b.alloc().is_some());
         let last = a.alloc().unwrap();
@@ -506,7 +494,7 @@ mod tests {
     fn exhausted_free_list_refunds_its_reservation() {
         let platform = NativePlatform::new();
         let budget = Arc::new(crate::MemBudget::new(&platform, 10));
-        let a = SegArena::with_budget(&platform, 2, 2, Arc::clone(&budget));
+        let a = SegArena::new(&platform, 2, 2, Some(Arc::clone(&budget)));
         let _s0 = a.alloc().unwrap();
         let _s1 = a.alloc().unwrap();
         assert_eq!(a.alloc(), None, "free list empty");
@@ -524,7 +512,7 @@ mod tests {
             processors: 4,
             ..SimConfig::default()
         });
-        let a = Arc::new(SegArena::new(&sim.platform(), 8, 4));
+        let a = Arc::new(SegArena::new(&sim.platform(), 8, 4, None));
         let report = sim.run({
             let a = Arc::clone(&a);
             move |_| {

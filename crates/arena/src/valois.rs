@@ -21,9 +21,12 @@
 //!   `valois_exhaustion` integration test and `valois_leak` example
 //!   demonstrate it, mirroring the paper's 64,000-node experiment.
 
+use std::sync::Arc;
+
 use msq_platform::{AtomicWord, CellArray, Platform, Tagged};
 
 use crate::arena::NodeArena;
+use crate::MemBudget;
 
 /// A node arena whose nodes carry Valois reference counts.
 ///
@@ -37,31 +40,17 @@ pub struct RcArena<P: Platform> {
 }
 
 impl<P: Platform> RcArena<P> {
-    /// Creates an arena of `capacity` reference-counted nodes.
+    /// Creates an arena of `capacity` reference-counted nodes, metering
+    /// the node pool (one unit per node, reserved for the arena's
+    /// lifetime) against `budget` if one is given, as [`NodeArena::new`]
+    /// does — force-reserved, so an over-budget pool surfaces in
+    /// [`MemBudget::overruns`] rather than failing.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is 0 or does not fit a tagged index.
-    pub fn new(platform: &P, capacity: u32) -> Self {
-        let arena = NodeArena::new(platform, capacity);
-        let refs = platform.alloc_cells(std::iter::repeat_n(1, capacity as usize));
-        RcArena { arena, refs }
-    }
-
-    /// As [`RcArena::new`], metering the node pool (one unit per node,
-    /// reserved for the arena's lifetime) against `budget` via
-    /// [`NodeArena::with_budget`] — force-reserved, so an over-budget pool
-    /// surfaces in [`crate::MemBudget::overruns`] rather than failing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is 0 or does not fit a tagged index.
-    pub fn with_budget(
-        platform: &P,
-        capacity: u32,
-        budget: std::sync::Arc<crate::MemBudget<P>>,
-    ) -> Self {
-        let arena = NodeArena::with_budget(platform, capacity, budget);
+    pub fn new(platform: &P, capacity: u32, budget: Option<Arc<MemBudget<P>>>) -> Self {
+        let arena = NodeArena::new(platform, capacity, budget);
         let refs = platform.alloc_cells(std::iter::repeat_n(1, capacity as usize));
         RcArena { arena, refs }
     }
@@ -161,7 +150,7 @@ mod tests {
     use std::sync::Arc;
 
     fn rc_arena(capacity: u32) -> RcArena<NativePlatform> {
-        RcArena::new(&NativePlatform::new(), capacity)
+        RcArena::new(&NativePlatform::new(), capacity, None)
     }
 
     #[test]
@@ -188,7 +177,7 @@ mod tests {
     #[test]
     fn safe_read_returns_pinned_node() {
         let p = NativePlatform::new();
-        let a = RcArena::new(&p, 2);
+        let a = RcArena::new(&p, 2, None);
         let n = a.alloc().unwrap();
         let link = p.alloc_cell(Tagged::new(n, 0).raw());
         let read = a.safe_read(&link).unwrap();
@@ -202,7 +191,7 @@ mod tests {
     #[test]
     fn safe_read_of_null_is_none() {
         let p = NativePlatform::new();
-        let a = RcArena::new(&p, 1);
+        let a = RcArena::new(&p, 1, None);
         let link = p.alloc_cell(Tagged::NULL.raw());
         assert_eq!(a.safe_read(&link), None);
     }
@@ -259,7 +248,7 @@ mod tests {
         // Exercise release-vs-safe_read interleavings with real threads:
         // nodes cycle through a shared link while readers pin/unpin them.
         let p = NativePlatform::new();
-        let a = Arc::new(RcArena::new(&p, 8));
+        let a = Arc::new(RcArena::new(&p, 8, None));
         let link = Arc::new(p.alloc_cell(Tagged::NULL.raw()));
 
         let writer = {

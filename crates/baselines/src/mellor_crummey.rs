@@ -112,20 +112,6 @@ impl<P: Platform> McQueue<P> {
     pub fn with_capacity_and_backoff(platform: &P, capacity: u32, backoff: BackoffConfig) -> Self {
         Self::build(platform, capacity, backoff, None)
     }
-
-    /// As [`McQueue::with_capacity`], metering the node pool against
-    /// `budget` (see [`McQueue::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity + 1` does not fit a tagged index.
-    pub fn with_capacity_and_budget(
-        platform: &P,
-        capacity: u32,
-        budget: Arc<MemBudget<P>>,
-    ) -> Self {
-        Self::new(platform, capacity, Some(budget))
-    }
 }
 
 impl<P: Platform, M: RepairMode<P>> McQueue<P, M> {
@@ -150,10 +136,7 @@ impl<P: Platform, M: RepairMode<P>> McQueue<P, M> {
         budget: Option<Arc<MemBudget<P>>>,
     ) -> Self {
         let nodes = capacity.checked_add(1).expect("capacity overflow");
-        let arena = match budget {
-            Some(budget) => NodeArena::with_budget(platform, nodes, budget),
-            None => NodeArena::new(platform, nodes),
-        };
+        let arena = NodeArena::new(platform, nodes, budget);
         let dummy = arena.alloc().expect("fresh arena");
         arena.set_next(dummy, NULL_INDEX);
         if M::REPAIR {

@@ -21,7 +21,9 @@
 //! * counted pointers defeat ABA, and nodes recycle through the shared
 //!   free list.
 
-use msq_arena::NodeArena;
+use std::sync::Arc;
+
+use msq_arena::{MemBudget, NodeArena};
 use msq_platform::{
     AtomicWord, Backoff, BackoffConfig, ConcurrentWordQueue, Platform, QueueFull, Tagged,
     NULL_INDEX,
@@ -55,7 +57,7 @@ impl<P: Platform> PljQueue<P> {
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
     pub fn with_capacity(platform: &P, capacity: u32) -> Self {
-        Self::with_capacity_and_backoff(platform, capacity, BackoffConfig::DEFAULT)
+        Self::new(platform, capacity, None)
     }
 
     /// As [`PljQueue::with_capacity`] with explicit backoff parameters.
@@ -64,36 +66,33 @@ impl<P: Platform> PljQueue<P> {
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
     pub fn with_capacity_and_backoff(platform: &P, capacity: u32, backoff: BackoffConfig) -> Self {
-        let arena = NodeArena::new(
-            platform,
-            capacity.checked_add(1).expect("capacity overflow"),
-        );
-        Self::from_arena(platform, arena, backoff)
+        Self::build(platform, capacity, backoff, None)
     }
 
-    /// As [`PljQueue::with_capacity`], metering the node pool (one unit per
-    /// node, `capacity + 1` total for the dummy) against `budget` for the
-    /// queue's lifetime. The pool is force-reserved — an over-budget queue
-    /// surfaces in [`msq_arena::MemBudget::overruns`], not as a
-    /// construction failure.
+    /// Creates a queue able to hold `capacity` values simultaneously,
+    /// metering the node pool (one unit per node, `capacity + 1` total for
+    /// the dummy) against `budget`, if given, for the queue's lifetime.
+    /// The pool is force-reserved — an over-budget queue surfaces in
+    /// [`MemBudget::overruns`], not as a construction failure.
     ///
     /// # Panics
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
-    pub fn with_capacity_and_budget(
+    pub fn new(platform: &P, capacity: u32, budget: Option<Arc<MemBudget<P>>>) -> Self {
+        Self::build(platform, capacity, BackoffConfig::DEFAULT, budget)
+    }
+
+    fn build(
         platform: &P,
         capacity: u32,
-        budget: std::sync::Arc<msq_arena::MemBudget<P>>,
+        backoff: BackoffConfig,
+        budget: Option<Arc<MemBudget<P>>>,
     ) -> Self {
-        let arena = NodeArena::with_budget(
+        let arena = NodeArena::new(
             platform,
             capacity.checked_add(1).expect("capacity overflow"),
             budget,
         );
-        Self::from_arena(platform, arena, BackoffConfig::DEFAULT)
-    }
-
-    fn from_arena(platform: &P, arena: NodeArena<P>, backoff: BackoffConfig) -> Self {
         let dummy = arena.alloc().expect("fresh arena");
         arena.set_next(dummy, NULL_INDEX);
         PljQueue {

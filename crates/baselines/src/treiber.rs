@@ -38,7 +38,7 @@ impl<P: Platform> TreiberStack<P> {
     pub fn with_capacity(platform: &P, capacity: u32) -> Self {
         TreiberStack {
             top: platform.alloc_cell(Tagged::NULL.raw()),
-            arena: NodeArena::new(platform, capacity),
+            arena: NodeArena::new(platform, capacity, None),
         }
     }
 

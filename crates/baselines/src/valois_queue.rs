@@ -12,7 +12,9 @@
 //! guarantee to satisfy the memory requirements of the algorithm all the
 //! time".
 
-use msq_arena::RcArena;
+use std::sync::Arc;
+
+use msq_arena::{MemBudget, RcArena};
 use msq_platform::{
     AtomicWord, Backoff, BackoffConfig, ConcurrentWordQueue, Platform, QueueFull, Tagged,
     NULL_INDEX,
@@ -48,7 +50,7 @@ impl<P: Platform> ValoisQueue<P> {
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
     pub fn with_capacity(platform: &P, capacity: u32) -> Self {
-        Self::with_capacity_and_backoff(platform, capacity, BackoffConfig::DEFAULT)
+        Self::new(platform, capacity, None)
     }
 
     /// As [`ValoisQueue::with_capacity`] with explicit backoff parameters.
@@ -57,36 +59,33 @@ impl<P: Platform> ValoisQueue<P> {
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
     pub fn with_capacity_and_backoff(platform: &P, capacity: u32, backoff: BackoffConfig) -> Self {
-        let rc = RcArena::new(
-            platform,
-            capacity.checked_add(1).expect("capacity overflow"),
-        );
-        Self::from_rc(platform, rc, backoff)
+        Self::build(platform, capacity, backoff, None)
     }
 
     /// As [`ValoisQueue::with_capacity`], metering the reference-counted
     /// node pool (one unit per node, `capacity + 1` total for the dummy)
-    /// against `budget` for the queue's lifetime. The pool is
+    /// against `budget`, if given, for the queue's lifetime. The pool is
     /// force-reserved — an over-budget queue surfaces in
-    /// [`msq_arena::MemBudget::overruns`], not as a construction failure.
+    /// [`MemBudget::overruns`], not as a construction failure.
     ///
     /// # Panics
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
-    pub fn with_capacity_and_budget(
+    pub fn new(platform: &P, capacity: u32, budget: Option<Arc<MemBudget<P>>>) -> Self {
+        Self::build(platform, capacity, BackoffConfig::DEFAULT, budget)
+    }
+
+    fn build(
         platform: &P,
         capacity: u32,
-        budget: std::sync::Arc<msq_arena::MemBudget<P>>,
+        backoff: BackoffConfig,
+        budget: Option<Arc<MemBudget<P>>>,
     ) -> Self {
-        let rc = RcArena::with_budget(
+        let rc = RcArena::new(
             platform,
             capacity.checked_add(1).expect("capacity overflow"),
             budget,
         );
-        Self::from_rc(platform, rc, BackoffConfig::DEFAULT)
-    }
-
-    fn from_rc(platform: &P, rc: RcArena<P>, backoff: BackoffConfig) -> Self {
         let dummy = rc.alloc().expect("fresh arena");
         // Head and Tail each hold a counted reference to the dummy; our
         // allocation reference transfers to Head and we add one for Tail.

@@ -103,10 +103,10 @@ fn tiny_budget_cell() -> TinyCell {
     });
     let platform = sim.platform();
     let budget = Arc::new(MemBudget::new(&platform, TINY_BUDGET));
-    let queue = Arc::new(WordSegQueue::with_capacity_and_budget(
+    let queue = Arc::new(WordSegQueue::new(
         &platform,
         4_096,
-        Arc::clone(&budget),
+        Some(Arc::clone(&budget)),
     ));
     let accepted = Arc::new(AtomicU64::new(0));
     let recovered = Arc::new(AtomicBool::new(false));

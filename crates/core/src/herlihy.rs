@@ -32,7 +32,9 @@ use msq_hazard::{PooledHazard, GLOBAL_DOMAIN};
 ///
 /// Every operation leaves the snapshot it replaced, with that snapshot's
 /// copies of the queued values, to a later hazard-pointer scan, which may
-/// run on any thread and after the queue itself is dropped.
+/// run on any thread and after the queue itself is dropped. That is why
+/// `T` must be `'static`: those copies may be dropped after any borrow
+/// they hold has ended.
 ///
 /// # Example
 ///
@@ -46,7 +48,17 @@ use msq_hazard::{PooledHazard, GLOBAL_DOMAIN};
 /// assert_eq!(queue.dequeue(), Some(2));
 /// assert_eq!(queue.dequeue(), None);
 /// ```
-pub struct HerlihyQueue<T: Clone> {
+///
+/// A queue of borrowed values does not compile:
+///
+/// ```compile_fail
+/// use msq_core::HerlihyQueue;
+///
+/// let text = String::from("borrowed");
+/// let queue = HerlihyQueue::new();
+/// queue.enqueue(text.as_str());
+/// ```
+pub struct HerlihyQueue<T: Clone + 'static> {
     /// The current snapshot; never null. A replaced snapshot is retired to
     /// [`GLOBAL_DOMAIN`], which frees it once no hazard protects it.
     root: AtomicPtr<VecDeque<T>>,
@@ -56,10 +68,10 @@ pub struct HerlihyQueue<T: Clone> {
 // clone values out of a shared snapshot (`T: Sync`), and a replaced
 // snapshot, with its values, is dropped by whichever thread's hazard scan
 // frees it (`T: Send`).
-unsafe impl<T: Clone + Send + Sync> Send for HerlihyQueue<T> {}
-unsafe impl<T: Clone + Send + Sync> Sync for HerlihyQueue<T> {}
+unsafe impl<T: Clone + Send + Sync + 'static> Send for HerlihyQueue<T> {}
+unsafe impl<T: Clone + Send + Sync + 'static> Sync for HerlihyQueue<T> {}
 
-impl<T: Clone> HerlihyQueue<T> {
+impl<T: Clone + 'static> HerlihyQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         HerlihyQueue {
@@ -126,13 +138,13 @@ impl<T: Clone> HerlihyQueue<T> {
     }
 }
 
-impl<T: Clone> Default for HerlihyQueue<T> {
+impl<T: Clone + 'static> Default for HerlihyQueue<T> {
     fn default() -> Self {
         HerlihyQueue::new()
     }
 }
 
-impl<T: Clone> Drop for HerlihyQueue<T> {
+impl<T: Clone + 'static> Drop for HerlihyQueue<T> {
     fn drop(&mut self) {
         // SAFETY: exclusive access during drop; the root came from
         // `Box::into_raw` and is still linked, so it was never retired.
@@ -140,7 +152,7 @@ impl<T: Clone> Drop for HerlihyQueue<T> {
     }
 }
 
-impl<T: Clone> std::fmt::Debug for HerlihyQueue<T> {
+impl<T: Clone + 'static> std::fmt::Debug for HerlihyQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "HerlihyQueue(len={})", self.len())
     }

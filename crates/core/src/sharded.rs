@@ -28,9 +28,9 @@
 use std::sync::Arc;
 
 use msq_arena::MemBudget;
-use msq_platform::{BatchFull, ConcurrentWordQueue, NativePlatform, Platform, QueueFull};
+use msq_platform::{BatchFull, ConcurrentWordQueue, Platform, QueueFull};
 
-use crate::seg_queue::{SegConfig, SegQueue};
+use crate::seg_queue::SegQueue;
 use crate::word_seg::WordSegQueue;
 
 /// Default shard count for the word-level variant (what the harness's
@@ -86,42 +86,9 @@ impl<T> ShardedQueue<T> {
     ///
     /// Panics if `shards == 0`.
     pub fn with_shards(shards: usize) -> Self {
-        ShardedQueue::with_config(shards, SegConfig::DEFAULT)
-    }
-
-    /// Creates a queue with `shards` sub-queues, each tuned by `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_config(shards: usize, config: SegConfig) -> Self {
         assert!(shards > 0, "need at least one shard");
         ShardedQueue {
-            shards: (0..shards).map(|_| SegQueue::with_config(config)).collect(),
-        }
-    }
-
-    /// Creates a queue whose shards all reserve segments against one
-    /// shared `budget` (and register pool-shrink reclaimers with it), so
-    /// the front-end's aggregate residency — not just each shard's — is
-    /// bounded. Note each shard keeps a one-segment floor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_config_and_budget(
-        shards: usize,
-        config: SegConfig,
-        budget: Arc<MemBudget<NativePlatform>>,
-    ) -> Self
-    where
-        T: Send + 'static,
-    {
-        assert!(shards > 0, "need at least one shard");
-        ShardedQueue {
-            shards: (0..shards)
-                .map(|_| SegQueue::with_config_and_budget(config, Arc::clone(&budget)))
-                .collect(),
+            shards: (0..shards).map(|_| SegQueue::new()).collect(),
         }
     }
 
@@ -216,46 +183,33 @@ impl<P: Platform> WordShardedQueue<P> {
     /// Creates a queue of [`DEFAULT_SHARDS`] shards able to hold at least
     /// `capacity` values in total.
     pub fn with_capacity(platform: &P, capacity: u32) -> Self {
-        Self::with_shards(platform, capacity, DEFAULT_SHARDS)
+        Self::with_shards(platform, capacity, DEFAULT_SHARDS, None)
     }
 
     /// Creates a queue of `shards` sub-queues able to hold at least
     /// `capacity` values in total (each shard gets an equal split,
     /// rounded up).
     ///
+    /// With a `budget`, every shard's arena reserves segments against that
+    /// one shared budget, bounding the front-end's aggregate residency. An
+    /// exhausted budget surfaces as [`QueueFull`] / [`BatchFull`] after the
+    /// usual spill sweep. Each shard's dummy segment takes one unit for the
+    /// queue's lifetime, so the budget must be at least `shards`.
+    ///
     /// # Panics
     ///
     /// Panics if `shards == 0` or the per-shard capacity is 0.
-    pub fn with_shards(platform: &P, capacity: u32, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let per_shard = capacity.div_ceil(shards as u32).max(1);
-        WordShardedQueue {
-            shards: (0..shards)
-                .map(|_| WordSegQueue::with_capacity(platform, per_shard))
-                .collect(),
-            platform: platform.clone(),
-        }
-    }
-
-    /// As [`WordShardedQueue::with_shards`], but every shard's arena
-    /// reserves segments against the one shared `budget`, bounding the
-    /// front-end's aggregate residency. An exhausted budget surfaces as
-    /// [`QueueFull`] / [`BatchFull`] after the usual spill sweep. Each
-    /// shard's dummy segment takes one unit for the queue's lifetime, so
-    /// the budget must be at least `shards`.
-    pub fn with_shards_and_budget(
+    pub fn with_shards(
         platform: &P,
         capacity: u32,
         shards: usize,
-        budget: Arc<MemBudget<P>>,
+        budget: Option<Arc<MemBudget<P>>>,
     ) -> Self {
         assert!(shards > 0, "need at least one shard");
         let per_shard = capacity.div_ceil(shards as u32).max(1);
         WordShardedQueue {
             shards: (0..shards)
-                .map(|_| {
-                    WordSegQueue::with_capacity_and_budget(platform, per_shard, Arc::clone(&budget))
-                })
+                .map(|_| WordSegQueue::new(platform, per_shard, budget.clone()))
                 .collect(),
             platform: platform.clone(),
         }
@@ -398,7 +352,7 @@ mod tests {
     fn word_variant_spills_to_neighbor_shards_before_refusing() {
         let platform = NativePlatform::new();
         // 2 shards x ~8 slots each.
-        let q = WordShardedQueue::with_shards(&platform, 16, 2);
+        let q = WordShardedQueue::with_shards(&platform, 16, 2, None);
         let mut accepted = 0u64;
         loop {
             match q.enqueue(accepted) {
@@ -420,7 +374,7 @@ mod tests {
     #[test]
     fn word_variant_batch_spill_reports_total_pushed() {
         let platform = NativePlatform::new();
-        let q = WordShardedQueue::with_shards(&platform, 16, 2);
+        let q = WordShardedQueue::with_shards(&platform, 16, 2, None);
         let values: Vec<u64> = (0..10_000).collect();
         let err = q.enqueue_batch(&values).unwrap_err();
         assert!(err.pushed >= 16);
@@ -435,7 +389,7 @@ mod tests {
     #[test]
     fn word_variant_mpmc_stress_conserves_values() {
         let platform = NativePlatform::new();
-        let q = Arc::new(WordShardedQueue::with_shards(&platform, 1024, 4));
+        let q = Arc::new(WordShardedQueue::with_shards(&platform, 1024, 4, None));
         let total = 4 * 2_000_u64;
         let sum = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let taken = Arc::new(std::sync::atomic::AtomicU64::new(0));

@@ -1,6 +1,8 @@
 //! Figure 1: the non-blocking concurrent queue.
 
-use msq_arena::NodeArena;
+use std::sync::Arc;
+
+use msq_arena::{MemBudget, NodeArena};
 use msq_platform::{
     AtomicWord, Backoff, BackoffConfig, ConcurrentWordQueue, Platform, QueueFull, Tagged,
     NULL_INDEX,
@@ -45,7 +47,7 @@ impl<P: Platform> WordMsQueue<P> {
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
     pub fn with_capacity(platform: &P, capacity: u32) -> Self {
-        Self::with_capacity_and_backoff(platform, capacity, BackoffConfig::DEFAULT)
+        Self::new(platform, capacity, None)
     }
 
     /// As [`WordMsQueue::with_capacity`] with explicit backoff parameters
@@ -55,40 +57,37 @@ impl<P: Platform> WordMsQueue<P> {
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
     pub fn with_capacity_and_backoff(platform: &P, capacity: u32, backoff: BackoffConfig) -> Self {
-        let arena = NodeArena::new(
-            platform,
-            capacity.checked_add(1).expect("capacity overflow"),
-        );
-        Self::from_arena(platform, arena, backoff)
+        Self::build(platform, capacity, backoff, None)
     }
 
-    /// As [`WordMsQueue::with_capacity`], metering the node pool (one unit
-    /// per node, `capacity + 1` total for the dummy) against `budget` for
-    /// the queue's lifetime.
+    /// Creates a queue able to hold `capacity` values simultaneously,
+    /// metering the node pool (one unit per node, `capacity + 1` total for
+    /// the dummy) against `budget`, if given, for the queue's lifetime.
     ///
     /// The pool is preallocated unconditionally — as in Figure 1 — so the
-    /// reservation goes through [`msq_arena::MemBudget::force_reserve`]: a
+    /// reservation goes through [`MemBudget::force_reserve`]: a
     /// queue larger than the remaining budget shows up in
-    /// [`msq_arena::MemBudget::overruns`] rather than failing construction.
+    /// [`MemBudget::overruns`] rather than failing construction.
     /// All units are credited back when the queue drops.
     ///
     /// # Panics
     ///
     /// Panics if `capacity + 1` does not fit a tagged index.
-    pub fn with_capacity_and_budget(
+    pub fn new(platform: &P, capacity: u32, budget: Option<Arc<MemBudget<P>>>) -> Self {
+        Self::build(platform, capacity, BackoffConfig::DEFAULT, budget)
+    }
+
+    fn build(
         platform: &P,
         capacity: u32,
-        budget: std::sync::Arc<msq_arena::MemBudget<P>>,
+        backoff: BackoffConfig,
+        budget: Option<Arc<MemBudget<P>>>,
     ) -> Self {
-        let arena = NodeArena::with_budget(
+        let arena = NodeArena::new(
             platform,
             capacity.checked_add(1).expect("capacity overflow"),
             budget,
         );
-        Self::from_arena(platform, arena, BackoffConfig::DEFAULT)
-    }
-
-    fn from_arena(platform: &P, arena: NodeArena<P>, backoff: BackoffConfig) -> Self {
         // initialize(Q): allocate a dummy node, the only node in the list;
         // both Head and Tail point to it.
         let dummy = arena.alloc().expect("fresh arena");

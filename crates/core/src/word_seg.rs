@@ -103,7 +103,7 @@ impl<P: Platform> WordSegQueue<P> {
     ///
     /// Panics if the implied segment count does not fit a tagged index.
     pub fn with_capacity(platform: &P, capacity: u32) -> Self {
-        Self::with_capacity_and_backoff(platform, capacity, BackoffConfig::DEFAULT)
+        Self::new(platform, capacity, None)
     }
 
     /// As [`WordSegQueue::with_capacity`] with explicit backoff parameters
@@ -112,9 +112,9 @@ impl<P: Platform> WordSegQueue<P> {
         Self::with_seg_size_and_backoff(platform, capacity, Self::DEFAULT_SEG_SIZE, backoff)
     }
 
-    /// As [`WordSegQueue::with_capacity`], but the queue's segment
-    /// residency (live segments, including the dummy) is reserved against
-    /// `budget`, shared with any other arenas on the same budget. When
+    /// As [`WordSegQueue::with_capacity`], but with a `budget` the queue's
+    /// segment residency (live segments, including the dummy) is reserved
+    /// against it, shared with any other arenas on the same budget. When
     /// the budget is exhausted the growth paths report
     /// [`QueueFull`] / [`BatchFull`] backpressure exactly as an exhausted
     /// arena does — natively and under the simulator alike, since the
@@ -123,17 +123,17 @@ impl<P: Platform> WordSegQueue<P> {
     /// Note the dummy segment consumes one unit for the queue's whole
     /// lifetime: a budget below the number of sharing queues cannot even
     /// construct them.
-    pub fn with_capacity_and_budget(
-        platform: &P,
-        capacity: u32,
-        budget: Arc<MemBudget<P>>,
-    ) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the implied segment count does not fit a tagged index.
+    pub fn new(platform: &P, capacity: u32, budget: Option<Arc<MemBudget<P>>>) -> Self {
         Self::build(
             platform,
             capacity,
             Self::DEFAULT_SEG_SIZE,
             BackoffConfig::DEFAULT,
-            Some(budget),
+            budget,
         )
     }
 
@@ -161,10 +161,7 @@ impl<P: Platform> WordSegQueue<P> {
     ) -> Self {
         assert!(seg_size > 0, "segments need at least one slot");
         let seg_count = capacity.div_ceil(seg_size).max(1) + SEG_HEADROOM;
-        let arena = match budget {
-            Some(budget) => SegArena::with_budget(platform, seg_count, seg_size, budget),
-            None => SegArena::new(platform, seg_count, seg_size),
-        };
+        let arena = SegArena::new(platform, seg_count, seg_size, budget);
         // initialize(Q): one segment plays the role of the dummy node;
         // Head and Tail both point at it.
         let first = arena
@@ -1045,7 +1042,7 @@ mod tests {
     fn budget_backpressure_and_recovery_native() {
         let platform = NativePlatform::new();
         let budget = Arc::new(MemBudget::new(&platform, 2));
-        let q = WordSegQueue::with_capacity_and_budget(&platform, 64, Arc::clone(&budget));
+        let q = WordSegQueue::new(&platform, 64, Some(Arc::clone(&budget)));
         // The dummy segment holds one unit for the queue's lifetime.
         assert_eq!(budget.reserved(), 1);
 
@@ -1084,11 +1081,7 @@ mod tests {
         });
         let platform = sim.platform();
         let budget = Arc::new(MemBudget::new(&platform, 2));
-        let q = Arc::new(WordSegQueue::with_capacity_and_budget(
-            &platform,
-            64,
-            Arc::clone(&budget),
-        ));
+        let q = Arc::new(WordSegQueue::new(&platform, 64, Some(Arc::clone(&budget))));
         sim.run({
             let q = Arc::clone(&q);
             move |info| {

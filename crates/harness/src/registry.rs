@@ -219,39 +219,16 @@ impl Algorithm {
             Algorithm::NewTwoLock => {
                 Arc::new(WordTwoLockQueue::<P>::new(platform, capacity, budget))
             }
-            Algorithm::Valois => match budget {
-                Some(budget) => Arc::new(ValoisQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                None => Arc::new(ValoisQueue::with_capacity(platform, capacity)),
-            },
-            Algorithm::PljNonBlocking => match budget {
-                Some(budget) => Arc::new(PljQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                None => Arc::new(PljQueue::with_capacity(platform, capacity)),
-            },
-            Algorithm::NewNonBlocking => match budget {
-                Some(budget) => Arc::new(WordMsQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                None => Arc::new(WordMsQueue::with_capacity(platform, capacity)),
-            },
-            Algorithm::SegBatched => match budget {
-                Some(budget) => Arc::new(WordSegQueue::with_capacity_and_budget(
-                    platform, capacity, budget,
-                )),
-                None => Arc::new(WordSegQueue::with_capacity(platform, capacity)),
-            },
-            Algorithm::Sharded => match budget {
-                Some(budget) => Arc::new(WordShardedQueue::with_shards_and_budget(
-                    platform,
-                    capacity,
-                    DEFAULT_SHARDS,
-                    budget,
-                )),
-                None => Arc::new(WordShardedQueue::with_capacity(platform, capacity)),
-            },
+            Algorithm::Valois => Arc::new(ValoisQueue::new(platform, capacity, budget)),
+            Algorithm::PljNonBlocking => Arc::new(PljQueue::new(platform, capacity, budget)),
+            Algorithm::NewNonBlocking => Arc::new(WordMsQueue::new(platform, capacity, budget)),
+            Algorithm::SegBatched => Arc::new(WordSegQueue::new(platform, capacity, budget)),
+            Algorithm::Sharded => Arc::new(WordShardedQueue::with_shards(
+                platform,
+                capacity,
+                DEFAULT_SHARDS,
+                budget,
+            )),
         }
     }
 }

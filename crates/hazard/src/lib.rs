@@ -117,6 +117,12 @@ impl Domain {
     /// `ptr` must have come from `Box::into_raw`, must not be reachable by
     /// new readers (it has been unlinked from every shared location), and
     /// must not be retired twice.
+    ///
+    /// The `T` is dropped later, by whichever thread's scan finds it
+    /// unprotected, possibly after the structure that retired it is gone.
+    /// So that deferred drop must be sound: `T` must be safe to drop on
+    /// another thread, and must borrow nothing that can end before the
+    /// drop runs (as a `T: 'static` bound on the caller ensures).
     pub unsafe fn retire<T>(&'static self, ptr: *mut T) {
         unsafe fn drop_box<T>(p: *mut u8) {
             drop(unsafe { Box::from_raw(p.cast::<T>()) });

@@ -90,7 +90,7 @@ fn heap_seg_queue_backpressures_at_the_budget_and_recovers() {
 fn word_seg_queue_backpressures_at_the_budget_natively() {
     let platform = NativePlatform::new();
     let budget = Arc::new(MemBudget::new(&platform, LIMIT));
-    let queue = WordSegQueue::with_capacity_and_budget(&platform, 4_096, Arc::clone(&budget));
+    let queue = WordSegQueue::new(&platform, 4_096, Some(Arc::clone(&budget)));
 
     let mut accepted = 0_u64;
     let rejected = loop {
@@ -149,10 +149,10 @@ fn word_seg_queue_backpressures_at_the_budget_under_simulation() {
     });
     let platform = sim.platform();
     let budget = Arc::new(MemBudget::new(&platform, LIMIT));
-    let queue = Arc::new(WordSegQueue::with_capacity_and_budget(
+    let queue = Arc::new(WordSegQueue::new(
         &platform,
         4_096,
-        Arc::clone(&budget),
+        Some(Arc::clone(&budget)),
     ));
     sim.run({
         let queue = Arc::clone(&queue);
@@ -210,10 +210,10 @@ fn kill_between_reserve_and_commit_credits_the_unit_back() {
     );
     let platform = sim.platform();
     let budget = Arc::new(MemBudget::new(&platform, LIMIT));
-    let queue = Arc::new(WordSegQueue::with_capacity_and_budget(
+    let queue = Arc::new(WordSegQueue::new(
         &platform,
         4_096,
-        Arc::clone(&budget),
+        Some(Arc::clone(&budget)),
     ));
     let report = sim.run({
         let queue = Arc::clone(&queue);
@@ -256,41 +256,48 @@ fn kill_between_reserve_and_commit_credits_the_unit_back() {
 /// lifetime and credit it all back on drop; the segment-based extensions
 /// reserve segment by segment. Either way the residency is *observable*:
 /// building any contender moves `reserved()`, and dropping it restores
-/// the budget to empty.
+/// the budget to empty. The repair-mode builds (`repair = true`) meter
+/// the same way.
 #[test]
 fn every_contender_meters_residency_against_a_shared_budget() {
     use ms_queues::Algorithm;
     let platform = NativePlatform::new();
-    for alg in Algorithm::WITH_EXTENSIONS {
-        let budget = Arc::new(MemBudget::new(&platform, 1_000));
-        let queue = alg.build_with_budget(&platform, 16, Some(Arc::clone(&budget)), false);
-        assert!(
-            budget.reserved() > 0,
-            "{alg}: building the queue must reserve budget units"
-        );
-        assert_eq!(
-            budget.overruns(),
-            0,
-            "{alg}: a within-budget pool must not overrun"
-        );
-        // The queue still works while metered.
-        queue.enqueue(7).unwrap();
-        assert_eq!(queue.dequeue(), Some(7), "{alg} round trip under budget");
-        let resident = budget.reserved();
-        drop(queue);
-        if matches!(alg, Algorithm::SegBatched | Algorithm::Sharded) {
-            // Segment arenas credit units when segments are *freed*; the
-            // still-resident initial segments ride out the drop.
+    for repair in [false, true] {
+        for alg in Algorithm::WITH_EXTENSIONS {
+            let budget = Arc::new(MemBudget::new(&platform, 1_000));
+            let queue = alg.build_with_budget(&platform, 16, Some(Arc::clone(&budget)), repair);
             assert!(
-                budget.reserved() <= resident,
-                "{alg}: drop must not grow the reservation"
+                budget.reserved() > 0,
+                "{alg} (repair {repair}): building the queue must reserve budget units"
             );
-        } else {
             assert_eq!(
-                budget.reserved(),
+                budget.overruns(),
                 0,
-                "{alg}: dropping the queue must credit every unit back"
+                "{alg} (repair {repair}): a within-budget pool must not overrun"
             );
+            // The queue still works while metered.
+            queue.enqueue(7).unwrap();
+            assert_eq!(
+                queue.dequeue(),
+                Some(7),
+                "{alg} (repair {repair}) round trip under budget"
+            );
+            let resident = budget.reserved();
+            drop(queue);
+            if matches!(alg, Algorithm::SegBatched | Algorithm::Sharded) {
+                // Segment arenas credit units when segments are *freed*; the
+                // still-resident initial segments ride out the drop.
+                assert!(
+                    budget.reserved() <= resident,
+                    "{alg} (repair {repair}): drop must not grow the reservation"
+                );
+            } else {
+                assert_eq!(
+                    budget.reserved(),
+                    0,
+                    "{alg} (repair {repair}): dropping the queue must credit every unit back"
+                );
+            }
         }
     }
 }

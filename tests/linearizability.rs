@@ -190,7 +190,7 @@ mod sharded {
     fn single_shard_composition_is_linearizable() {
         let platform = NativePlatform::new();
         linearizable_small_windows_with("sharded(1)", || {
-            Arc::new(WordShardedQueue::with_shards(&platform, 64, 1))
+            Arc::new(WordShardedQueue::with_shards(&platform, 64, 1, None))
         });
     }
 
@@ -230,7 +230,7 @@ mod sharded {
         // one shard, nothing spills to a neighbour, so each producer's
         // values stay on a single FIFO shard.
         let queue: Arc<WordShardedQueue<NativePlatform>> =
-            Arc::new(WordShardedQueue::with_shards(&platform, 16_384, 4));
+            Arc::new(WordShardedQueue::with_shards(&platform, 16_384, 4, None));
         let taken = Arc::new(AtomicU64::new(0));
         let total = producers * per_producer;
 
@@ -290,7 +290,12 @@ mod sharded {
         // checked across many distinct interleavings.
         schedule_sweep(base, 32, |cfg| {
             let sim = Simulation::new(cfg);
-            let queue = Arc::new(WordShardedQueue::with_shards(&sim.platform(), 16_384, 4));
+            let queue = Arc::new(WordShardedQueue::with_shards(
+                &sim.platform(),
+                16_384,
+                4,
+                None,
+            ));
             let taken = Arc::new(AtomicU64::new(0));
             let consumed = Arc::new(Mutex::new(vec![Vec::new(), Vec::new()]));
             sim.run({

@@ -407,7 +407,7 @@ proptest! {
     fn arena_never_double_allocates(script in prop::collection::vec(any::<bool>(), 1..200)) {
         use ms_queues::arena::NodeArena;
         let platform = NativePlatform::new();
-        let arena = NodeArena::new(&platform, 16);
+        let arena = NodeArena::new(&platform, 16, None);
         let mut held: Vec<u32> = Vec::new();
         for take in script {
             if take {

@@ -405,7 +405,7 @@ fn two_lock_arena_is_metered_against_the_budget() {
     // Pool fits: 7 + 1 dummy = 8 units of 8.
     let budget = Arc::new(MemBudget::new(&platform, 8));
     {
-        let q = WordTwoLockQueue::with_capacity_and_budget(&platform, 7, Arc::clone(&budget));
+        let q = WordTwoLockQueue::<NativePlatform>::new(&platform, 7, Some(Arc::clone(&budget)));
         assert_eq!(budget.reserved(), 8, "capacity + dummy reserved up front");
         assert_eq!(budget.overruns(), 0, "a fitting pool is no overrun");
         q.enqueue(1).unwrap();
@@ -422,7 +422,7 @@ fn two_lock_arena_is_metered_against_the_budget() {
     // as an overrun, not denied — construction still succeeds.
     let tiny = Arc::new(MemBudget::new(&platform, 4));
     {
-        let q = WordTwoLockQueue::with_capacity_and_budget(&platform, 15, Arc::clone(&tiny));
+        let q = WordTwoLockQueue::<NativePlatform>::new(&platform, 15, Some(Arc::clone(&tiny)));
         assert!(tiny.overruns() > 0, "over-budget pool counts as overrun");
         assert_eq!(tiny.reserved(), 16, "force_reserve still books the units");
         q.enqueue(9).unwrap();
@@ -432,26 +432,26 @@ fn two_lock_arena_is_metered_against_the_budget() {
     assert!(tiny.peak() >= 16);
 }
 
-/// The same metering through the registry's `build_with_budget` path and a
-/// `MemBudget::global()`-style shared budget: assertions are lower bounds
-/// (`>=`) because parallel tests may share the global budget.
+/// The same metering through the registry's `build_with_budget` path. The
+/// budget is the test's own, so the counts are exact: the whole pool
+/// (31 + 1 dummy) is reserved by the build and credited back by the drop.
 #[test]
 fn two_lock_budget_attaches_through_the_registry() {
     use ms_queues::{Algorithm, MemBudget, NativePlatform};
 
     let platform = NativePlatform::new();
     let budget = Arc::new(MemBudget::new(&platform, 1 << 20));
-    let before = budget.reserved();
     let q =
         Algorithm::NewTwoLock.build_with_budget(&platform, 31, Some(Arc::clone(&budget)), false);
-    assert!(
-        budget.reserved() >= before + 32,
+    assert_eq!(
+        budget.reserved(),
+        32,
         "registry-built two-lock reserves its pool"
     );
     q.enqueue(5).unwrap();
     assert_eq!(q.dequeue(), Some(5));
     drop(q);
-    assert_eq!(budget.reserved(), before, "registry path releases on drop");
+    assert_eq!(budget.reserved(), 0, "registry path releases on drop");
 }
 
 /// **Reclamation survives the reclaimer's death.** The word-level segment
@@ -477,10 +477,10 @@ fn killed_reclaimer_still_frees_the_segment_under_a_tiny_budget() {
     );
     let platform = sim.platform();
     let budget = Arc::new(MemBudget::new(&platform, LIMIT));
-    let queue = Arc::new(WordSegQueue::with_capacity_and_budget(
+    let queue = Arc::new(WordSegQueue::new(
         &platform,
         4_096,
-        Arc::clone(&budget),
+        Some(Arc::clone(&budget)),
     ));
     let report = sim.run({
         let queue = Arc::clone(&queue);
